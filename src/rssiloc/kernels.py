@@ -1,89 +1,83 @@
-"""Numeric cores with two interchangeable backends.
+"""The numeric cores of the package, one numpy implementation each.
 
-The hot inner loops of the package live here: beacon-coverage counting
-over dense sample lattices, the linearized lateration solve, and the
-fused Kalman predict/correct step. Each kernel has a numba-compiled
-path and a pure-numpy path with identical semantics.
+Every per-step operation of the receive-side pipeline lives here once:
+log-distance path loss and its inverse, shadowed reading windows,
+NaN-aware dB aggregation, strongest-k ordering, the linearized
+lateration solve, and the range-EKF predict/correct step (Jacobian and
+gain included). Beacon-coverage counting over dense sample lattices
+lives here too.
 
-Backend selection happens once at import time: numba is used when it is
-importable, unless the environment variable RSSILOC_NO_NUMBA is set to
-1/true/yes, in which case the numpy path is forced. `BACKEND` records
-the choice. benchmarks/bench_kernels.py times the two paths against
-each other.
-
-Kernels return status flags instead of raising; the public wrappers in
-localization/tracking/simulate translate flags into exceptions.
+Kernels take plain floats and numpy arrays, trust their inputs and
+return status flags instead of raising. The public functions in
+radio/localization/tracking validate their arguments, call these
+kernels and turn flags into exceptions; simulate calls the kernels
+directly on arrays it has already checked, keeping validation off the
+per-step path.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "coverage_counts",
-    "lateration_solve",
-    "ekf_step",
-    "warmup",
+    "path_loss_rssi", "path_loss_range", "shadowed_readings", "db_mean", "top_k",
+    "lateration_solve", "ekf_predict", "range_jacobian", "ekf_gain", "ekf_correct",
+    "ekf_step", "coverage_counts",
 ]
 
 _COVERAGE_CHUNK = 1 << 16
-
-_flag = os.environ.get("RSSILOC_NO_NUMBA", "").strip().lower()
-_want_numba = _flag not in {"1", "true", "yes"}
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-BACKEND = "numba" if _want_numba else "numpy"
+_ANCHOR_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# coverage counting
+# ranging
 
 
-def coverage_counts_np(px, py, bx, by, radius, cap):
-    """Per sample point, the number of beacons within `radius` (closed
-    ball), saturated at `cap`. Vectorized in chunks to bound memory."""
-    n = px.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    r2 = radius * radius
-    for start in range(0, n, _COVERAGE_CHUNK):
-        stop = min(start + _COVERAGE_CHUNK, n)
-        dx = px[start:stop, None] - bx[None, :]
-        dy = py[start:stop, None] - by[None, :]
-        counts[start:stop] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)
-    return np.minimum(counts, cap)
+def path_loss_rssi(d, rssi_at_ref, ref_distance, exponent):
+    """Noise-free received power at distance(s) d > 0:
+    RSSI(d0) - 10 n log10(d / d0)."""
+    return rssi_at_ref - 10.0 * exponent * np.log10(d / ref_distance)
 
 
-def _coverage_counts_loop(px, py, bx, by, radius, cap):
-    n = px.shape[0]
-    m = bx.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    r2 = radius * radius
-    for i in range(n):
-        c = 0
-        for j in range(m):
-            dx = px[i] - bx[j]
-            dy = py[i] - by[j]
-            if dx * dx + dy * dy <= r2:
-                c += 1
-                if c >= cap:
-                    break
-        counts[i] = c
-    return counts
+def path_loss_range(rssi, rssi_at_ref, ref_distance, exponent):
+    """Inverse of path_loss_rssi: the distance(s) producing `rssi`."""
+    return ref_distance * 10.0 ** ((rssi_at_ref - rssi) / (10.0 * exponent))
+
+
+def shadowed_readings(mean, sigma, sensitivity, rng, n):
+    """n readings around each mean with N(0, sigma) dB shadowing; readings
+    below `sensitivity` become NaN. A mean array of shape s gives shape
+    s + (n,), drawn row-major, so one (k, n) draw consumes the generator
+    exactly like k windows of n drawn one after another."""
+    mean = np.asarray(mean)
+    values = mean[..., None] + rng.normal(0.0, sigma, size=mean.shape + (n,))
+    return np.where(values < sensitivity, np.nan, values)
+
+
+def db_mean(readings):
+    """Mean of the non-NaN dBm readings along the last (window) axis; NaN
+    where a window holds no reading."""
+    n_present = np.count_nonzero(~np.isnan(readings), axis=-1)
+    return np.where(
+        n_present > 0,
+        np.nansum(readings, axis=-1) / np.maximum(n_present, 1),
+        np.nan,
+    )
+
+
+def top_k(ids, rssi, k):
+    """Indices of the k strongest readings, RSSI descending, ties to the
+    lower id."""
+    return np.lexsort((ids, -rssi))[:k]
 
 
 # ---------------------------------------------------------------------------
 # linearized lateration (normal equations on the 2-unknown system)
 
 
-def _lateration_impl(ax, ay, d):
+def lateration_solve(ax, ay, d):
     """Solve for the position whose squared anchor distances best match d.
 
     Rows i = 1..k-1 of the linear system, anchored on node 0:
@@ -120,19 +114,22 @@ def _lateration_impl(ax, ay, d):
     return 0, x, y
 
 
-def _ekf_step_impl(pos, cov, ax, ay, z, st, ctrl, q, r):
-    """Fused predict + range-measurement correct for the planar filter.
+# ---------------------------------------------------------------------------
+# range-driven planar Kalman filter
 
-    Prediction propagates the state through the transition matrix and
-    inflates covariance with the process noise. Correction linearizes
-    the anchor-range map at the predicted position (Jacobian rows are
-    unit vectors from anchor to prediction), forms the gain
-    E H^T (H E H^T + R)^-1 and applies the measured-minus-predicted
-    range innovation. Returns (status, pos, cov); status 1 flags a
-    prediction that coincides with an anchor."""
-    pred = st @ pos + ctrl
-    pcov = st @ cov @ st.T + q
 
+def ekf_predict(pos, cov, st, ctrl, q):
+    """Propagate the state through the transition matrix and inflate the
+    covariance with the process noise. Returns (pos, cov)."""
+    return st @ pos + ctrl, st @ cov @ st.T + q
+
+
+def range_jacobian(pred, ax, ay):
+    """Jacobian of the anchor-range map at `pred` and the ranges there.
+
+    Row i is the unit vector from anchor i toward `pred`. Returns
+    (status, h, ranges); status 1 flags `pred` on an anchor, where the
+    map is not differentiable."""
     k = ax.shape[0]
     h = np.empty((k, 2))
     ranges = np.empty(k)
@@ -140,55 +137,55 @@ def _ekf_step_impl(pos, cov, ax, ay, z, st, ctrl, q, r):
         dx = pred[0] - ax[i]
         dy = pred[1] - ay[i]
         ri = math.sqrt(dx * dx + dy * dy)
-        if ri < 1e-9:
-            return 1, pred, pcov
+        if ri < _ANCHOR_EPS:
+            return 1, None, None
         ranges[i] = ri
         h[i, 0] = dx / ri
         h[i, 1] = dy / ri
+    return 0, h, ranges
 
-    s = h @ pcov @ h.T + r
-    gain = pcov @ h.T @ np.linalg.inv(s)
-    new_pos = pred + gain @ (z - ranges)
-    new_cov = (np.eye(2) - gain @ h) @ pcov
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    return 0, new_pos, new_cov
+
+def ekf_gain(cov, h, r):
+    """Kalman gain E H^T (H E H^T + R)^-1."""
+    return cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+
+
+def ekf_correct(pred, pcov, ax, ay, z, r):
+    """Correct a prediction with measured anchor ranges z.
+
+    The innovation is z minus the ranges the prediction implies; the
+    covariance update (I - K H) E is symmetrized against drift. Returns
+    (status, pos, cov); status 1 flags a prediction on an anchor and
+    hands the prediction back unchanged."""
+    status, h, ranges = range_jacobian(pred, ax, ay)
+    if status != 0:
+        return 1, pred, pcov
+    k = ekf_gain(pcov, h, r)
+    new_pos = pred + k @ (z - ranges)
+    new_cov = (np.eye(2) - k @ h) @ pcov
+    return 0, new_pos, 0.5 * (new_cov + new_cov.T)
+
+
+def ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
+    """One predict-then-correct cycle. Returns (status, pos, cov) as
+    ekf_correct does."""
+    pred, pcov = ekf_predict(pos, cov, st, ctrl, q)
+    return ekf_correct(pred, pcov, ax, ay, z, r)
 
 
 # ---------------------------------------------------------------------------
-# backend dispatch
-
-if BACKEND == "numba":
-    coverage_counts_jit = njit(cache=True)(_coverage_counts_loop)
-    lateration_solve_jit = njit(cache=True)(_lateration_impl)
-    ekf_step_jit = njit(cache=True)(_ekf_step_impl)
-
-    coverage_counts = coverage_counts_jit
-    lateration_solve = lateration_solve_jit
-    ekf_step = ekf_step_jit
-else:
-    coverage_counts = coverage_counts_np
-    lateration_solve = _lateration_impl
-    ekf_step = _ekf_step_impl
-
-# numpy-path aliases, importable regardless of backend (benchmarks, tests)
-lateration_solve_np = _lateration_impl
-ekf_step_np = _ekf_step_impl
+# coverage counting
 
 
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
-    px = np.array([0.0, 1.0])
-    bx = np.array([0.0, 2.0, 4.0])
-    coverage_counts(px, px, bx, bx, 5.0, 3)
-    lateration_solve(np.array([0.0, 4.0, 0.0]), np.array([0.0, 0.0, 4.0]), np.array([1.0, 3.0, 3.0]))
-    ekf_step(
-        np.array([1.0, 1.0]),
-        np.eye(2),
-        np.array([0.0, 4.0, 0.0]),
-        np.array([0.0, 0.0, 4.0]),
-        np.array([1.5, 3.0, 3.0]),
-        np.eye(2),
-        np.zeros(2),
-        0.01 * np.eye(2),
-        np.eye(3),
-    )
+def coverage_counts(px, py, bx, by, radius, cap):
+    """Per sample point, the number of beacons within `radius` (closed
+    ball), saturated at `cap`. Vectorized in chunks to bound memory."""
+    n = px.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    r2 = radius * radius
+    for start in range(0, n, _COVERAGE_CHUNK):
+        stop = min(start + _COVERAGE_CHUNK, n)
+        dx = px[start:stop, None] - bx[None, :]
+        dy = py[start:stop, None] - by[None, :]
+        counts[start:stop] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)
+    return np.minimum(counts, cap)

@@ -81,7 +81,7 @@ class PositionEstimate:
 
 def aggregate_rssi(obs: RssiObservation) -> Dbm:
     """Arithmetic mean of the window's dBm readings."""
-    return float(np.mean(obs.samples))
+    return float(kernels.db_mean(np.array(obs.samples)))
 
 
 def select_anchors(
@@ -93,8 +93,9 @@ def select_anchors(
         raise InsufficientAnchorsError(
             f"need >= {k} observations, got {len(observations)}"
         )
-    ranked = sorted(observations, key=lambda o: (-o[1], o[0].id))
-    return ranked[:k]
+    ids = np.array([anchor.id for anchor, _ in observations])
+    rssi = np.array([value for _, value in observations], dtype=float)
+    return [observations[i] for i in kernels.top_k(ids, rssi, k)]
 
 
 def _solve(anchors: tuple[AnchorNode, ...], ranges: tuple[float, ...]) -> PositionEstimate:

@@ -1,11 +1,9 @@
 """Log-distance path-loss model and stochastic RSSI measurement.
 
-The deterministic part is the classic log-distance relation
-
-    RSSI(d) = RSSI(d0) - 10 * n * log10(d / d0)
-
-with reference distance d0, reference power RSSI(d0) and path-loss
-exponent n. Measurements add zero-mean Gaussian shadowing in the dB
+The deterministic part is the classic log-distance relation: received
+power RSSI(d0) at reference distance d0, falling by 10 n dB per decade
+of distance for path-loss exponent n (kernels.path_loss_rssi holds the
+formula). Measurements add zero-mean Gaussian shadowing in the dB
 domain (log-normal in linear power); a noisy reading that falls below
 receiver sensitivity is reported as absent, mirroring a receiver that
 hears nothing.
@@ -18,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geometry import Dbm
 
 __all__ = [
@@ -84,7 +83,9 @@ def rssi_at_distance(params: PathLossParams, d: float) -> Dbm:
     """Noise-free received power at distance d, dBm. Requires d > 0."""
     if d <= 0.0:
         raise ValueError(f"distance must be > 0, got {d}")
-    return params.rssi_at_ref - 10.0 * params.exponent * math.log10(d / params.ref_distance)
+    return float(
+        kernels.path_loss_rssi(d, params.rssi_at_ref, params.ref_distance, params.exponent)
+    )
 
 
 def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:
@@ -95,7 +96,9 @@ def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:
     """
     if not math.isfinite(rssi):
         raise ValueError(f"rssi must be finite, got {rssi}")
-    return params.ref_distance * 10.0 ** ((params.rssi_at_ref - rssi) / (10.0 * params.exponent))
+    return float(
+        kernels.path_loss_range(rssi, params.rssi_at_ref, params.ref_distance, params.exponent)
+    )
 
 
 def sample_measured_rssi(
@@ -106,10 +109,8 @@ def sample_measured_rssi(
     rng: np.random.Generator,
 ) -> Dbm | None:
     """One noisy RSSI reading at distance d, or None when below sensitivity."""
-    value = rssi_at_distance(params, d) + rng.normal(0.0, shadow.sigma)
-    if value < spec.sensitivity:
-        return None
-    return value
+    value = float(sample_rssi_window(params, spec, d, shadow, rng, 1)[0])
+    return None if math.isnan(value) else value
 
 
 def sample_rssi_window(
@@ -125,5 +126,6 @@ def sample_rssi_window(
     Draws n normals in one call, which consumes the generator stream
     exactly like n repeated sample_measured_rssi calls.
     """
-    values = rssi_at_distance(params, d) + rng.normal(0.0, shadow.sigma, size=n)
-    return np.where(values < spec.sensitivity, np.nan, values)
+    return kernels.shadowed_readings(
+        rssi_at_distance(params, d), shadow.sigma, spec.sensitivity, rng, n
+    )

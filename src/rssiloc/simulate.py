@@ -195,13 +195,6 @@ def verify_three_coverage(
 # pipeline execution
 
 
-def _top3(ids: np.ndarray, rssi: np.ndarray) -> np.ndarray:
-    """Indices of the three strongest readings, RSSI descending, ties to
-    the lower node id (same ordering as localization.select_anchors)."""
-    order = np.lexsort((ids, -rssi))
-    return order[:3]
-
-
 def run_scenario(s: Scenario) -> RunResult:
     """Execute the full pipeline over the scenario trajectory.
 
@@ -220,16 +213,9 @@ def run_scenario(s: Scenario) -> RunResult:
     beacon_x = np.array([b.position.x for b in s.beacons])
     beacon_y = np.array([b.position.y for b in s.beacons])
     beacon_ids = np.array([b.id for b in s.beacons])
-    w = s.aggregation_window
-    sigma = s.shadowing.sigma
     pl = s.path_loss
-    ref = pl.rssi_at_ref
-    ten_n = 10.0 * pl.exponent
 
-    st = np.ascontiguousarray(s.kalman.state_transition)
-    ctrl = np.ascontiguousarray(s.kalman.control)
-    q = np.ascontiguousarray(s.kalman.process_noise)
-    r = np.ascontiguousarray(s.kalman.measurement_noise)
+    cfg = s.kalman
 
     kf_pos: np.ndarray | None = None
     kf_cov: np.ndarray | None = None
@@ -245,28 +231,25 @@ def run_scenario(s: Scenario) -> RunResult:
             report = scan_all_channels(s.environment, s.scan, rng)
             monitor.switch_to(select_channel(report))
 
-        # One window of noisy readings per beacon. The (k, w) draw fills
-        # row-major, consuming the stream exactly like per-beacon windows.
+        # One window of noisy readings per beacon.
         dist = np.hypot(beacon_x - true_pt.x, beacon_y - true_pt.y)
         if np.any(dist <= 0.0):
             raise ValueError(f"trajectory point at step {step} coincides with a beacon")
-        true_rssi = ref - ten_n * np.log10(dist / pl.ref_distance)
-        readings = true_rssi[:, None] + rng.normal(0.0, sigma, size=(len(s.beacons), w))
-        readings = np.where(readings < s.radio.sensitivity, np.nan, readings)
-
-        present = ~np.isnan(readings)
-        n_present = present.sum(axis=1)
-        reachable = n_present > 0
-        agg = np.where(reachable, np.nansum(readings, axis=1) / np.maximum(n_present, 1), np.nan)
+        true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
+        readings = kernels.shadowed_readings(
+            true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window
+        )
+        agg = kernels.db_mean(readings)
+        reachable = ~np.isnan(agg)
 
         anchor_rssi = {
             int(beacon_ids[i]): float(agg[i]) for i in np.flatnonzero(reachable)
         }
 
-        raw_pt = _estimate(
+        raw = _estimate(
             beacon_x, beacon_y, beacon_ids, readings[:, 0], ~np.isnan(readings[:, 0]), pl
         )
-        averaged = _estimate_with_anchors(beacon_x, beacon_y, beacon_ids, agg, reachable, pl)
+        averaged = _estimate(beacon_x, beacon_y, beacon_ids, agg, reachable, pl)
 
         kf_pt: Point2D | None = None
         if averaged is not None:
@@ -281,7 +264,8 @@ def run_scenario(s: Scenario) -> RunResult:
                 ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
                     kf_pos, kf_cov,
                     beacon_x[sel_idx], beacon_y[sel_idx], sel_ranges,
-                    st, ctrl, q, r,
+                    cfg.state_transition, cfg.control, cfg.process_noise,
+                    cfg.measurement_noise,
                 )
                 if ok == 0:
                     kf_pos, kf_cov = kf_pos_new, kf_cov_new
@@ -296,7 +280,7 @@ def run_scenario(s: Scenario) -> RunResult:
             StepRecord(
                 step=step,
                 true_position=true_pt,
-                raw=raw_pt,
+                raw=None if raw is None else raw[0],
                 averaged=avg_point,
                 kalman=kf_pt,
                 channel=monitor.active_channel.index,
@@ -307,12 +291,7 @@ def run_scenario(s: Scenario) -> RunResult:
     return RunResult(tuple(records))
 
 
-def _estimate(beacon_x, beacon_y, beacon_ids, rssi, usable, pl) -> Point2D | None:
-    result = _estimate_with_anchors(beacon_x, beacon_y, beacon_ids, rssi, usable, pl)
-    return None if result is None else result[0]
-
-
-def _estimate_with_anchors(
+def _estimate(
     beacon_x, beacon_y, beacon_ids, rssi, usable, pl: PathLossParams
 ):
     """Top-3 selection, path-loss inversion, lateration. Returns
@@ -320,8 +299,8 @@ def _estimate_with_anchors(
     idx = np.flatnonzero(usable)
     if idx.size < 3:
         return None
-    sel = idx[_top3(beacon_ids[idx], rssi[idx])]
-    ranges = pl.ref_distance * 10.0 ** ((pl.rssi_at_ref - rssi[sel]) / (10.0 * pl.exponent))
+    sel = idx[kernels.top_k(beacon_ids[idx], rssi[idx], 3)]
+    ranges = kernels.path_loss_range(rssi[sel], pl.rssi_at_ref, pl.ref_distance, pl.exponent)
     status, x, y = kernels.lateration_solve(beacon_x[sel], beacon_y[sel], ranges)
     if status != 0:
         return None

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import SingularGeometryError
 from .geometry import AnchorNode
 
@@ -29,8 +30,6 @@ __all__ = [
     "update",
     "filter_step",
 ]
-
-_ANCHOR_EPS = 1e-9
 
 
 def _frozen_array(value, shape) -> np.ndarray:
@@ -108,8 +107,9 @@ class RangeMeasurement:
 
 def predict(state: KalmanState, cfg: KalmanConfig) -> KalmanState:
     """Prediction phase: propagate position, inflate covariance with Q."""
-    position = cfg.state_transition @ state.position + cfg.control
-    covariance = cfg.state_transition @ state.covariance @ cfg.state_transition.T + cfg.process_noise
+    position, covariance = kernels.ekf_predict(
+        state.position, state.covariance, cfg.state_transition, cfg.control, cfg.process_noise
+    )
     return KalmanState(position, covariance)
 
 
@@ -121,11 +121,10 @@ def observation_jacobian(predicted: np.ndarray, anchors: np.ndarray) -> np.ndarr
     """
     predicted = np.asarray(predicted, dtype=float)
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
-    diff = predicted[None, :] - anchors
-    ranges = np.linalg.norm(diff, axis=1)
-    if np.any(ranges < _ANCHOR_EPS):
+    status, h, _ = kernels.range_jacobian(predicted, anchors[:, 0], anchors[:, 1])
+    if status != 0:
         raise SingularGeometryError("predicted position coincides with an anchor")
-    return diff / ranges[:, None]
+    return h
 
 
 def gain(covariance: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def gain(covariance: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
     covariance = np.asarray(covariance, dtype=float)
     h = np.asarray(h, dtype=float)
     r = np.asarray(r, dtype=float)
-    return covariance @ h.T @ np.linalg.inv(h @ covariance @ h.T + r)
+    return kernels.ekf_gain(covariance, h, r)
 
 
 def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:
@@ -144,12 +143,12 @@ def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) ->
     prediction leaves the position exactly unchanged.
     """
     anchors = meas.anchor_xy()
-    h = observation_jacobian(predicted.position, anchors)
-    predicted_ranges = np.linalg.norm(predicted.position[None, :] - anchors, axis=1)
-    k = gain(predicted.covariance, h, cfg.measurement_noise)
-    position = predicted.position + k @ (meas.ranges - predicted_ranges)
-    covariance = (np.eye(2) - k @ h) @ predicted.covariance
-    covariance = 0.5 * (covariance + covariance.T)
+    status, position, covariance = kernels.ekf_correct(
+        predicted.position, predicted.covariance,
+        anchors[:, 0], anchors[:, 1], meas.ranges, cfg.measurement_noise,
+    )
+    if status != 0:
+        raise SingularGeometryError("predicted position coincides with an anchor")
     return KalmanState(position, covariance)
 
 
