@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def _check_fields(obj: dict, path: str, required: set[str], optional: set[str]):
 def _number(obj, path) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioFileError(f"{path}: expected a number")
+    if not math.isfinite(obj):
+        raise ScenarioFileError(f"{path}: expected a finite number, got {obj}")
     return float(obj)
 
 
@@ -90,6 +93,8 @@ def _matrix(obj, path, shape) -> np.ndarray:
         raise ScenarioFileError(f"{path}: expected a numeric array") from None
     if arr.shape != shape:
         raise ScenarioFileError(f"{path}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ScenarioFileError(f"{path}: expected finite numbers")
     return arr
 
 
@@ -373,6 +378,8 @@ def _report_uncovered(uncovered: list[Point2D], what: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise ScenarioFileError(f"--seeds must be >= 1, got {args.seeds}")
     scenario = load_scenario(Path(args.scenario), args.seed)
     out_root = Path(args.out)
 
@@ -420,8 +427,12 @@ def _parse_roi(text: str) -> Rect:
 
 def cmd_deploy(args) -> int:
     roi = _parse_roi(args.roi)
-    if args.range_m <= 0:
+    if not args.range_m > 0:
         raise ScenarioFileError(f"--range-m must be > 0, got {args.range_m}")
+    if not 0 < args.safety <= 1:
+        raise ScenarioFileError(f"--safety must be in (0, 1], got {args.safety}")
+    if not args.grid_step > 0:
+        raise ScenarioFileError(f"--grid-step must be > 0, got {args.grid_step}")
     plan = plan_square_grid_deployment(roi, args.range_m, args.safety)
     ok, uncovered = verify_three_coverage(plan, roi, args.range_m, args.grid_step)
     out_dir = Path(args.out)

@@ -12,6 +12,7 @@ the windowed mean is taken directly over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class RssiObservation:
         object.__setattr__(self, "samples", tuple(self.samples))
         if not self.samples:
             raise ValueError("observation needs at least one sample")
+        if not all(math.isfinite(v) for v in self.samples):
+            raise ValueError("observation samples must be finite")
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,12 @@ class Scenario:
         ids = [b.id for b in self.beacons]
         if len(set(ids)) != len(ids):
             raise ValueError("beacon ids must be unique within a scenario")
+        beacon_points = {b.position for b in self.beacons}
         for p in self.trajectory:
             if not self.roi.contains(p):
                 raise ValueError(f"trajectory point ({p.x}, {p.y}) outside roi")
+            if p in beacon_points:
+                raise ValueError(f"trajectory point ({p.x}, {p.y}) coincides with a beacon")
 
 
 @dataclass(frozen=True)
@@ -233,8 +236,6 @@ def run_scenario(s: Scenario) -> RunResult:
 
         # One window of noisy readings per beacon.
         dist = np.hypot(beacon_x - true_pt.x, beacon_y - true_pt.y)
-        if np.any(dist <= 0.0):
-            raise ValueError(f"trajectory point at step {step} coincides with a beacon")
         true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
         readings = kernels.shadowed_readings(
             true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window

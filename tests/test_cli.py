@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from rssiloc.cli import (
     EXIT_DOMAIN,
     EXIT_INPUT,
@@ -189,3 +191,47 @@ def test_compare_outputs(tmp_path):
     assert len(lines) == 121
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["raw"]["rmse_m"] > metrics["averaged"]["rmse_m"] > metrics["kalman"]["rmse_m"]
+
+
+def test_simulate_seed_sweep_rejects_empty_count(tmp_path):
+    scn = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "o"
+    for count in ("0", "-2"):
+        assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                     "--seeds", count]) == EXIT_INPUT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--safety", "0"],
+    ["--safety", "-0.5"],
+    ["--safety", "1.5"],
+    ["--safety", "nan"],
+    ["--grid-step", "0"],
+    ["--grid-step", "-1"],
+    ["--grid-step", "nan"],
+    ["--range-m", "nan"],
+])
+def test_deploy_flags_out_of_range(tmp_path, flags):
+    argv = ["deploy", "--roi", "30x30", "--range-m", "25", "--out", str(tmp_path / "o")]
+    assert main(argv + flags) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("overrides", [
+    {"shadowing": {"sigma_db": float("nan")}},
+    {"path_loss": {"exponent": float("inf")}},
+    {"radio": {"sensitivity_dbm": float("-inf")}},
+    {"trajectory_m": [[12, 9], [float("nan"), 9]]},
+    {"beacons": TRIANGLE_BEACONS[:2] + [{"id": 2, "x_m": float("inf"), "y_m": 30}]},
+    {"kalman": {"process_noise_m2": [[float("nan"), 0], [0, 0.01]]}},
+    {"kalman": {"control_m": [0, float("inf")]}},
+])
+def test_simulate_rejects_non_finite_numbers(tmp_path, overrides):
+    scn = write_scenario(tmp_path / "s.json", **overrides)
+    assert "NaN" in scn.read_text() or "Infinity" in scn.read_text()
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+
+def test_simulate_trajectory_on_beacon_is_input_error(tmp_path):
+    scn = write_scenario(tmp_path / "s.json", trajectory_m=[[12, 9], [30, 0]])
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT

@@ -222,3 +222,9 @@ def test_pipeline_consistency_ranging_of_aggregated_cleans_samples(d):
     rssi = params.rssi_at_ref - 10 * params.exponent * math.log10(d / params.ref_distance)
     obs = RssiObservation(TRIANGLE[0], (rssi,) * 10)
     assert distance_from_rssi(params, aggregate_rssi(obs)) == pytest.approx(d, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observation_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError):
+        RssiObservation(TRIANGLE[0], (-60.0, bad, -62.0))

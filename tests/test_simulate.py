@@ -190,6 +190,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
                  trajectory=(Point2D(5, 5),), seed=1, aggregation_window=0)
+    with pytest.raises(ValueError):
+        Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
+                 trajectory=(Point2D(5, 5), Point2D(30, 0)), seed=1)  # on a beacon
 
 
 # ---------------------------------------------------------------------------
