@@ -59,12 +59,10 @@ def shadowed_readings(mean, sigma, sensitivity, rng, n):
 def db_mean(readings):
     """Mean of the non-NaN dBm readings along the last (window) axis; NaN
     where a window holds no reading."""
-    n_present = np.count_nonzero(~np.isnan(readings), axis=-1)
-    return np.where(
-        n_present > 0,
-        np.nansum(readings, axis=-1) / np.maximum(n_present, 1),
-        np.nan,
-    )
+    present = ~np.isnan(readings)
+    n_present = present.sum(axis=-1)
+    total = np.where(present, readings, 0.0).sum(axis=-1)
+    return np.where(n_present > 0, total / np.maximum(n_present, 1), np.nan)
 
 
 def top_k(ids, rssi, k):
