@@ -69,9 +69,13 @@ def _check_fields(obj: dict, path: str, required: set[str], optional: set[str]):
 def _number(obj, path) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioFileError(f"{path}: expected a number")
-    if not math.isfinite(obj):
-        raise ScenarioFileError(f"{path}: expected a finite number, got {obj}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioFileError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _integer(obj, path) -> int:
@@ -420,19 +424,19 @@ def _parse_roi(text: str) -> Rect:
         w, h = (float(v) for v in text.lower().split("x"))
     except ValueError:
         raise ScenarioFileError(f"--roi: expected WIDTHxHEIGHT, got {text!r}") from None
-    if w <= 0 or h <= 0:
-        raise ScenarioFileError(f"--roi: width and height must be > 0, got {text!r}")
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise ScenarioFileError(f"--roi: width and height must be finite and > 0, got {text!r}")
     return Rect(0.0, 0.0, w, h)
 
 
 def cmd_deploy(args) -> int:
     roi = _parse_roi(args.roi)
-    if not args.range_m > 0:
-        raise ScenarioFileError(f"--range-m must be > 0, got {args.range_m}")
+    if not 0 < args.range_m < math.inf:
+        raise ScenarioFileError(f"--range-m must be finite and > 0, got {args.range_m}")
     if not 0 < args.safety <= 1:
         raise ScenarioFileError(f"--safety must be in (0, 1], got {args.safety}")
-    if not args.grid_step > 0:
-        raise ScenarioFileError(f"--grid-step must be > 0, got {args.grid_step}")
+    if not 0 < args.grid_step < math.inf:
+        raise ScenarioFileError(f"--grid-step must be finite and > 0, got {args.grid_step}")
     plan = plan_square_grid_deployment(roi, args.range_m, args.safety)
     ok, uncovered = verify_three_coverage(plan, roi, args.range_m, args.grid_step)
     out_dir = Path(args.out)
