@@ -56,6 +56,35 @@ LATTICE_TIES = {
     "shadowing": {"sigma_db": 0.0},
 }
 
+# Every optional section set away from its default: a scan of 4 samples
+# per channel, WiFi on 1/4/6/9/11/13 at partial duty (packet failures on
+# every channel, so the monitor rescans), a drifting transition with a
+# control offset, correlated Q and R, and a 5-sample window.
+ALL_SECTIONS = {
+    "seed": 23,
+    "roi_m": {"x_min": -5, "y_min": 0, "x_max": 35, "y_max": 32},
+    "beacons": LATTICE_BEACONS,
+    "trajectory_m": [[3 + 0.6 * i, 4 + 0.4 * i] for i in range(40)],
+    "path_loss": {"rssi_at_ref_dbm": -40.0, "ref_distance_m": 2.0, "exponent": 2.5},
+    "radio": {"tx_power_dbm": 10.0, "sensitivity_dbm": -95.0, "max_range_m": 45.0},
+    "shadowing": {"sigma_db": 1.5},
+    "environment": {
+        "noise_floor_dbm": -97.0,
+        "interferers": [
+            {"wifi_channel": w, "rx_power_dbm": -72.0 - w, "duty_cycle": 0.2 + 0.03 * w}
+            for w in (1, 4, 6, 9, 11, 13)
+        ],
+    },
+    "scan": {"samples_per_channel": 4, "sample_interval_ms": 50.0},
+    "kalman": {
+        "state_transition": [[1.0, 0.02], [-0.01, 0.99]],
+        "control_m": [0.6, 0.4],
+        "process_noise_m2": [[0.3, 0.05], [0.05, 0.2]],
+        "measurement_noise_m2": [[2.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 1.0]],
+    },
+    "aggregation_window": 5,
+}
+
 # case name -> argv before --out (a dict argv item is a scenario written
 # to the run directory first)
 CASES = {
@@ -65,6 +94,7 @@ CASES = {
     "simulate_desk_seeds3": ["simulate", "--scenario", DESK, "--seeds", "3"],
     "simulate_lattice_sparse": ["simulate", "--scenario", LATTICE_SPARSE],
     "simulate_lattice_ties": ["simulate", "--scenario", LATTICE_TIES],
+    "simulate_all_sections": ["simulate", "--scenario", ALL_SECTIONS],
     "compare_wifi": ["compare", "--scenario", WIFI],
     "deploy_60x40": ["deploy", "--roi", "60x40", "--range-m", "25"],
 }
@@ -93,6 +123,12 @@ GOLDEN = {
             "dbc733659aff84aae286e683f13d227a5a017112218e1883adf2a4c84f3d43ed",
         "summary.json":
             "90c8fae1ffb7758d6c15a25b2aa671e334579fc44f1dc9e0d5734c39b1bdff34",
+    },
+    "simulate_all_sections": {
+        "steps.csv":
+            "a0cb304b3f9ff03085fb568800cbb05d1199afa54aeee3f77b820d61e204e37a",
+        "summary.json":
+            "0ccdce5d6bdd507e38e05ce08178189b550c8e7d4396ff83fbe806d019e94fe3",
     },
     "simulate_desk_seeds3": {
         "seed_42/steps.csv":
