@@ -5,15 +5,20 @@ Subcommands: `simulate` (full pipeline run to steps.csv + summary.json),
 beacons.csv), `compare` (per-step pipeline errors to compare.csv).
 
 Scenario files are JSON mirroring the Scenario type field-for-field,
-physical quantities carrying their unit in the field name. Unknown
-fields are rejected, missing optional sections take library defaults,
-and `seed` is required. Exit codes: 0 success, 2 malformed input,
-3 domain/coverage failure, 1 internal error.
+physical quantities carrying their unit in the field name; one table,
+_FIELDS, lays the schema out. Unknown fields are rejected, missing
+optional fields take library defaults, and `seed` is required.
+
+Exit codes: 0 success; 2 malformed input, including any value a library
+type rejects (the message names its field path); 3 domain failure: no
+three-beacon coverage, no resolved step, a diverged filter, or a plan
+or verification lattice over its capacity; 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,10 +28,10 @@ import numpy as np
 
 from . import kernels
 from .channel import ScanConfig, scan_all_channels, select_channel
+from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
-    Metrics,
     RunResult,
     Scenario,
     compute_metrics,
@@ -50,14 +55,24 @@ class ScenarioFileError(Exception):
 # ---------------------------------------------------------------------------
 # scenario file parsing
 
+# Caps on the sizes a scenario file sets, checked before anything is
+# allocated: the static shorthand's step count, and the samples drawn per
+# scan channel or per aggregation window.
+MAX_STEPS = 100_000
+MAX_SAMPLES = 1_000
 
-def _require_mapping(obj, path):
+
+def _build(cls, path, **kw):
+    """cls(**kw), with the constructor's ValueError reported at `path`."""
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ScenarioFileError(f"{path}: {exc}") from None
+
+
+def _check_fields(obj, path: str, required: set[str], optional: set[str]):
     if not isinstance(obj, dict):
         raise ScenarioFileError(f"{path}: expected an object")
-    return obj
-
-
-def _check_fields(obj: dict, path: str, required: set[str], optional: set[str]):
     unknown = set(obj) - required - optional
     if unknown:
         raise ScenarioFileError(f"{path}: unknown field(s) {sorted(unknown)}")
@@ -84,196 +99,176 @@ def _integer(obj, path) -> int:
     return obj
 
 
+def _count(cap):
+    """Parser for a size taken from the file: an integer in [1, cap]."""
+    def parse(obj, path) -> int:
+        value = _integer(obj, path)
+        if not 1 <= value <= cap:
+            raise ScenarioFileError(f"{path}: must be in [1, {cap}], got {value}")
+        return value
+    return parse
+
+
 def _point(obj, path) -> Point2D:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ScenarioFileError(f"{path}: expected [x, y]")
     return Point2D(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
 
 
-def _matrix(obj, path, shape) -> np.ndarray:
-    try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioFileError(f"{path}: expected a numeric array") from None
-    if arr.shape != shape:
-        raise ScenarioFileError(f"{path}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ScenarioFileError(f"{path}: expected finite numbers")
-    return arr
+def _matrix(*shape):
+    """Parser for nested lists of finite numbers with the given shape."""
+    def nested(obj, path, dims):
+        if not dims:
+            return _number(obj, path)
+        if not (isinstance(obj, list) and len(obj) == dims[0]):
+            raise ScenarioFileError(f"{path}: expected a list of {dims[0]}")
+        return [nested(item, f"{path}[{i}]", dims[1:]) for i, item in enumerate(obj)]
+    return lambda obj, path: np.array(nested(obj, path, shape))
 
 
-def _parse_trajectory(obj, path) -> tuple[Point2D, ...]:
+def _list_of(parse):
+    def parse_list(obj, path) -> tuple:
+        if not isinstance(obj, list):
+            raise ScenarioFileError(f"{path}: expected a list")
+        return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(obj))
+    return parse_list
+
+
+def _record(cls):
+    """Parser for an object laid out by _FIELDS[cls]. A field is optional
+    when the dataclass gives its attribute a default, which an absent
+    field takes."""
+    def parse(obj, path):
+        table = _FIELDS[cls]
+        defaulted = {f.name for f in dataclasses.fields(cls)
+                     if f.default is not dataclasses.MISSING
+                     or f.default_factory is not dataclasses.MISSING}
+        _check_fields(obj, path,
+                      {name for name, attr, _ in table if attr not in defaulted},
+                      {name for name, attr, _ in table if attr in defaulted})
+        return _build(cls, path, **{attr: field_parser(obj[name], f"{path}.{name}")
+                                    for name, attr, field_parser in table if name in obj})
+    return parse
+
+
+def _beacon(obj, path) -> AnchorNode:
+    _check_fields(obj, path, {"id", "x_m", "y_m"}, set())
+    position = Point2D(_number(obj["x_m"], f"{path}.x_m"), _number(obj["y_m"], f"{path}.y_m"))
+    return _build(AnchorNode, path, id=_integer(obj["id"], f"{path}.id"), position=position)
+
+
+def _trajectory(obj, path) -> tuple[Point2D, ...]:
     if isinstance(obj, dict):
         _check_fields(obj, path, {"static", "steps"}, set())
         point = _point(obj["static"], f"{path}.static")
-        steps = _integer(obj["steps"], f"{path}.steps")
-        if steps < 1:
-            raise ScenarioFileError(f"{path}.steps: must be >= 1")
-        return (point,) * steps
+        return (point,) * _count(MAX_STEPS)(obj["steps"], f"{path}.steps")
     if isinstance(obj, list):
-        return tuple(_point(p, f"{path}[{i}]") for i, p in enumerate(obj))
+        return _list_of(_point)(obj, path)
     raise ScenarioFileError(f"{path}: expected a waypoint list or a static shorthand")
+
+
+def _wifi_channel(obj, path) -> WifiChannel:
+    return _build(WifiChannel, path, index=_integer(obj, path))
+
+
+# The scenario schema: for each library type, its file fields as
+# (file field, attribute, parser). parse_scenario and scenario_to_dict
+# both walk this table.
+_FIELDS = {
+    Scenario: (
+        ("seed", "seed", _integer),
+        ("roi_m", "roi", _record(Rect)),
+        ("beacons", "beacons", _list_of(_beacon)),
+        ("trajectory_m", "trajectory", _trajectory),
+        ("path_loss", "path_loss", _record(PathLossParams)),
+        ("radio", "radio", _record(RadioSpec)),
+        ("shadowing", "shadowing", _record(ShadowingModel)),
+        ("environment", "environment", _record(ChannelEnvironment)),
+        ("scan", "scan", _record(ScanConfig)),
+        ("kalman", "kalman", _record(KalmanConfig)),
+        ("aggregation_window", "aggregation_window", _count(MAX_SAMPLES)),
+    ),
+    Rect: (
+        ("x_min", "x_min", _number),
+        ("y_min", "y_min", _number),
+        ("x_max", "x_max", _number),
+        ("y_max", "y_max", _number),
+    ),
+    PathLossParams: (
+        ("rssi_at_ref_dbm", "rssi_at_ref", _number),
+        ("ref_distance_m", "ref_distance", _number),
+        ("exponent", "exponent", _number),
+    ),
+    RadioSpec: (
+        ("tx_power_dbm", "tx_power", _number),
+        ("sensitivity_dbm", "sensitivity", _number),
+        ("max_range_m", "max_range", _number),
+    ),
+    ShadowingModel: (("sigma_db", "sigma", _number),),
+    ChannelEnvironment: (
+        ("noise_floor_dbm", "noise_floor", _number),
+        ("interferers", "interferers", _list_of(_record(InterfererProfile))),
+    ),
+    InterfererProfile: (
+        ("wifi_channel", "wifi_channel", _wifi_channel),
+        ("rx_power_dbm", "rx_power", _number),
+        ("duty_cycle", "duty_cycle", _number),
+    ),
+    ScanConfig: (
+        ("samples_per_channel", "samples_per_channel", _count(MAX_SAMPLES)),
+        ("sample_interval_ms", "sample_interval_ms", _number),
+    ),
+    KalmanConfig: (
+        ("state_transition", "state_transition", _matrix(2, 2)),
+        ("control_m", "control", _matrix(2)),
+        ("process_noise_m2", "process_noise", _matrix(2, 2)),
+        ("measurement_noise_m2", "measurement_noise", _matrix(3, 3)),
+    ),
+}
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, validating strictly."""
-    _require_mapping(doc, "$")
-    _check_fields(
-        doc,
-        "$",
-        {"seed", "roi_m", "beacons", "trajectory_m"},
-        {"path_loss", "radio", "shadowing", "environment", "scan", "kalman",
-         "aggregation_window"},
-    )
-
-    seed = _integer(doc["seed"], "$.seed")
-
-    roi_obj = _require_mapping(doc["roi_m"], "$.roi_m")
-    _check_fields(roi_obj, "$.roi_m", {"x_min", "y_min", "x_max", "y_max"}, set())
-    roi = Rect(*(_number(roi_obj[k], f"$.roi_m.{k}") for k in ("x_min", "y_min", "x_max", "y_max")))
-
-    if not isinstance(doc["beacons"], list):
-        raise ScenarioFileError("$.beacons: expected a list")
-    beacons = []
-    for i, b in enumerate(doc["beacons"]):
-        _require_mapping(b, f"$.beacons[{i}]")
-        _check_fields(b, f"$.beacons[{i}]", {"id", "x_m", "y_m"}, set())
-        beacons.append(
-            AnchorNode(
-                _integer(b["id"], f"$.beacons[{i}].id"),
-                Point2D(_number(b["x_m"], f"$.beacons[{i}].x_m"),
-                        _number(b["y_m"], f"$.beacons[{i}].y_m")),
-            )
-        )
-
-    trajectory = _parse_trajectory(doc["trajectory_m"], "$.trajectory_m")
-
-    kwargs = {}
-    if "path_loss" in doc:
-        o = _require_mapping(doc["path_loss"], "$.path_loss")
-        _check_fields(o, "$.path_loss", set(), {"rssi_at_ref_dbm", "ref_distance_m", "exponent"})
-        defaults = PathLossParams()
-        kwargs["path_loss"] = PathLossParams(
-            rssi_at_ref=_number(o.get("rssi_at_ref_dbm", defaults.rssi_at_ref), "$.path_loss.rssi_at_ref_dbm"),
-            ref_distance=_number(o.get("ref_distance_m", defaults.ref_distance), "$.path_loss.ref_distance_m"),
-            exponent=_number(o.get("exponent", defaults.exponent), "$.path_loss.exponent"),
-        )
-    if "radio" in doc:
-        o = _require_mapping(doc["radio"], "$.radio")
-        _check_fields(o, "$.radio", set(), {"tx_power_dbm", "sensitivity_dbm", "max_range_m"})
-        defaults = RadioSpec()
-        kwargs["radio"] = RadioSpec(
-            tx_power=_number(o.get("tx_power_dbm", defaults.tx_power), "$.radio.tx_power_dbm"),
-            sensitivity=_number(o.get("sensitivity_dbm", defaults.sensitivity), "$.radio.sensitivity_dbm"),
-            max_range=_number(o.get("max_range_m", defaults.max_range), "$.radio.max_range_m"),
-        )
-    if "shadowing" in doc:
-        o = _require_mapping(doc["shadowing"], "$.shadowing")
-        _check_fields(o, "$.shadowing", set(), {"sigma_db"})
-        kwargs["shadowing"] = ShadowingModel(
-            sigma=_number(o.get("sigma_db", ShadowingModel().sigma), "$.shadowing.sigma_db")
-        )
-    if "environment" in doc:
-        o = _require_mapping(doc["environment"], "$.environment")
-        _check_fields(o, "$.environment", set(), {"noise_floor_dbm", "interferers"})
-        interferers = []
-        for i, it in enumerate(o.get("interferers", [])):
-            p = f"$.environment.interferers[{i}]"
-            _require_mapping(it, p)
-            _check_fields(it, p, {"wifi_channel", "rx_power_dbm", "duty_cycle"}, set())
-            interferers.append(
-                InterfererProfile(
-                    WifiChannel(_integer(it["wifi_channel"], f"{p}.wifi_channel")),
-                    _number(it["rx_power_dbm"], f"{p}.rx_power_dbm"),
-                    _number(it["duty_cycle"], f"{p}.duty_cycle"),
-                )
-            )
-        kwargs["environment"] = ChannelEnvironment(
-            interferers=tuple(interferers),
-            noise_floor=_number(o.get("noise_floor_dbm", ChannelEnvironment().noise_floor),
-                                "$.environment.noise_floor_dbm"),
-        )
-    if "scan" in doc:
-        o = _require_mapping(doc["scan"], "$.scan")
-        _check_fields(o, "$.scan", set(), {"samples_per_channel", "sample_interval_ms"})
-        defaults = ScanConfig()
-        kwargs["scan"] = ScanConfig(
-            samples_per_channel=_integer(o.get("samples_per_channel", defaults.samples_per_channel),
-                                         "$.scan.samples_per_channel"),
-            sample_interval_ms=_number(o.get("sample_interval_ms", defaults.sample_interval_ms),
-                                       "$.scan.sample_interval_ms"),
-        )
-    if "kalman" in doc:
-        o = _require_mapping(doc["kalman"], "$.kalman")
-        _check_fields(o, "$.kalman", set(),
-                      {"state_transition", "control_m", "process_noise_m2", "measurement_noise_m2"})
-        defaults = KalmanConfig()
-        kwargs["kalman"] = KalmanConfig(
-            state_transition=(_matrix(o["state_transition"], "$.kalman.state_transition", (2, 2))
-                              if "state_transition" in o else defaults.state_transition),
-            control=(_matrix(o["control_m"], "$.kalman.control_m", (2,))
-                     if "control_m" in o else defaults.control),
-            process_noise=(_matrix(o["process_noise_m2"], "$.kalman.process_noise_m2", (2, 2))
-                           if "process_noise_m2" in o else defaults.process_noise),
-            measurement_noise=(_matrix(o["measurement_noise_m2"], "$.kalman.measurement_noise_m2", (3, 3))
-                               if "measurement_noise_m2" in o else defaults.measurement_noise),
-        )
-    if "aggregation_window" in doc:
-        kwargs["aggregation_window"] = _integer(doc["aggregation_window"], "$.aggregation_window")
-
-    try:
-        return Scenario(roi=roi, beacons=tuple(beacons), trajectory=trajectory,
-                        seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ScenarioFileError(str(exc)) from None
+    return _record(Scenario)(doc, "$")
 
 
 def load_scenario(path: Path, seed_override: int | None = None) -> Scenario:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if seed_override is not None:
-        _require_mapping(doc, "$")
+    except RecursionError:
+        raise ScenarioFileError(f"{path}: JSON nested too deeply") from None
+    if seed_override is not None and isinstance(doc, dict):
         doc["seed"] = seed_override
     return parse_scenario(doc)
 
 
+def _echo(value):
+    """File-schema form of a parsed value: the inverse of its parser."""
+    table = _FIELDS.get(type(value))
+    if table is not None:
+        return {name: _echo(getattr(value, attr)) for name, attr, _ in table}
+    if isinstance(value, tuple):
+        return [_echo(item) for item in value]
+    if isinstance(value, AnchorNode):
+        return {"id": value.id, "x_m": value.position.x, "y_m": value.position.y}
+    if isinstance(value, Point2D):
+        return [value.x, value.y]
+    if isinstance(value, WifiChannel):
+        return value.index
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical file-schema echo of a scenario, defaults resolved."""
-    return {
-        "seed": s.seed,
-        "roi_m": {"x_min": s.roi.x_min, "y_min": s.roi.y_min,
-                  "x_max": s.roi.x_max, "y_max": s.roi.y_max},
-        "beacons": [{"id": b.id, "x_m": b.position.x, "y_m": b.position.y} for b in s.beacons],
-        "trajectory_m": [[p.x, p.y] for p in s.trajectory],
-        "path_loss": {"rssi_at_ref_dbm": s.path_loss.rssi_at_ref,
-                      "ref_distance_m": s.path_loss.ref_distance,
-                      "exponent": s.path_loss.exponent},
-        "radio": {"tx_power_dbm": s.radio.tx_power,
-                  "sensitivity_dbm": s.radio.sensitivity,
-                  "max_range_m": s.radio.max_range},
-        "shadowing": {"sigma_db": s.shadowing.sigma},
-        "environment": {
-            "noise_floor_dbm": s.environment.noise_floor,
-            "interferers": [
-                {"wifi_channel": i.wifi_channel.index, "rx_power_dbm": i.rx_power,
-                 "duty_cycle": i.duty_cycle}
-                for i in s.environment.interferers
-            ],
-        },
-        "scan": {"samples_per_channel": s.scan.samples_per_channel,
-                 "sample_interval_ms": s.scan.sample_interval_ms},
-        "kalman": {"state_transition": s.kalman.state_transition.tolist(),
-                   "control_m": s.kalman.control.tolist(),
-                   "process_noise_m2": s.kalman.process_noise.tolist(),
-                   "measurement_noise_m2": s.kalman.measurement_noise.tolist()},
-        "aggregation_window": s.aggregation_window,
-    }
+    return _echo(s)
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +293,30 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _metrics_dict(m: Metrics) -> dict:
-    return {
-        "rmse_m": m.rmse,
-        "mean_error_m": m.mean_error,
-        "max_error_m": m.max_error,
-        "error_cdf_m": list(m.error_cdf),
-        "resolved_steps": m.resolved_steps,
-        "unresolved_steps": m.unresolved_steps,
-    }
+def _metrics(result: RunResult) -> dict:
+    """Error statistics of each estimate flavor, as written to the outputs."""
+    metrics = {}
+    for flavor in ("raw", "averaged", "kalman"):
+        m = compute_metrics(result, flavor)
+        metrics[flavor] = {
+            "rmse_m": m.rmse,
+            "mean_error_m": m.mean_error,
+            "max_error_m": m.max_error,
+            "error_cdf_m": list(m.error_cdf),
+            "resolved_steps": m.resolved_steps,
+            "unresolved_steps": m.unresolved_steps,
+        }
+    return metrics
+
+
+def _xy(p: Point2D | None) -> tuple:
+    return (None, None) if p is None else (p.x, p.y)
 
 
 def _step_rows(result: RunResult) -> list[list]:
-    rows = []
-    for rec in result.steps:
-        rows.append([
-            rec.step,
-            rec.true_position.x, rec.true_position.y,
-            rec.raw.x if rec.raw else None, rec.raw.y if rec.raw else None,
-            rec.averaged.x if rec.averaged else None, rec.averaged.y if rec.averaged else None,
-            rec.kalman.x if rec.kalman else None, rec.kalman.y if rec.kalman else None,
-            rec.channel,
-            1 if rec.resolved else 0,
-        ])
-    return rows
+    return [[rec.step, *_xy(rec.true_position), *_xy(rec.raw), *_xy(rec.averaged),
+             *_xy(rec.kalman), rec.channel, 1 if rec.resolved else 0]
+            for rec in result.steps]
 
 
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
@@ -340,11 +335,7 @@ def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -
     summary = {
         "seed": s.seed,
         "config": scenario_to_dict(s),
-        "metrics": {
-            "raw": _metrics_dict(compute_metrics(result, "raw")),
-            "averaged": _metrics_dict(compute_metrics(result, "averaged")),
-            "kalman": _metrics_dict(compute_metrics(result, "kalman")),
-        },
+        "metrics": _metrics(result),
     }
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -385,22 +376,18 @@ def cmd_simulate(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         raise ScenarioFileError(f"--seeds must be >= 1, got {args.seeds}")
     scenario = load_scenario(Path(args.scenario), args.seed)
+    uncovered = _coverage_precheck(scenario)
+    if uncovered:
+        _report_uncovered(uncovered, "trajectory coverage precheck failed")
+        return EXIT_DOMAIN
     out_root = Path(args.out)
-
-    seeds = [scenario.seed] if args.seeds is None else [
-        scenario.seed + i for i in range(args.seeds)
-    ]
-    for seed in seeds:
-        s = scenario if seed == scenario.seed else load_scenario(Path(args.scenario), seed)
-        uncovered = _coverage_precheck(s)
-        if uncovered:
-            _report_uncovered(uncovered, "trajectory coverage precheck failed")
-            return EXIT_DOMAIN
+    for i in range(1 if args.seeds is None else args.seeds):
+        s = dataclasses.replace(scenario, seed=scenario.seed + i)
         result = run_scenario(s)
-        out_dir = out_root if args.seeds is None else out_root / f"seed_{seed}"
+        out_dir = out_root if args.seeds is None else out_root / f"seed_{s.seed}"
         summary = write_run_outputs(result, s, out_dir, args.format)
         kf = summary["metrics"]["kalman"]
-        print(f"seed {seed}: {len(result.steps)} steps, "
+        print(f"seed {s.seed}: {len(result.steps)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
     return EXIT_OK
 
@@ -481,11 +468,7 @@ def cmd_compare(args) -> int:
             for rec in result.steps]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
-    metrics = {
-        "raw": _metrics_dict(compute_metrics(result, "raw")),
-        "averaged": _metrics_dict(compute_metrics(result, "averaged")),
-        "kalman": _metrics_dict(compute_metrics(result, "kalman")),
-    }
+    metrics = _metrics(result)
     _write_json(out_dir / "metrics.json", metrics)
     for name in ("raw", "averaged", "kalman"):
         print(f"{name:9s} rmse {metrics[name]['rmse_m']:.4f} m")
@@ -545,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except LocalizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -22,6 +22,11 @@ class SingularGeometryError(LocalizationError):
     """Range Jacobian undefined: evaluation point coincides with an anchor."""
 
 
+class FilterDivergenceError(LocalizationError):
+    """The range filter cannot correct: singular innovation covariance or
+    a state outside the float range."""
+
+
 class NoResolvedStepsError(LocalizationError):
     """A run produced no steps with a position fix."""
 

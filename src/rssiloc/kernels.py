@@ -86,7 +86,8 @@ def lateration_solve(ax, ay, d):
 
     solved through the 2x2 normal equations. Returns (status, x, y)
     with status 0 on success and 1 when the normal matrix is singular
-    (collinear anchors)."""
+    (collinear anchors) or the solution is not finite (ranges beyond
+    the float range)."""
     x0 = ax[0]
     y0 = ay[0]
     c0 = d[0] * d[0] - x0 * x0 - y0 * y0
@@ -110,6 +111,8 @@ def lateration_solve(ax, ay, d):
         return 1, 0.0, 0.0
     x = (s22 * t1 - s12 * t2) / det
     y = (s11 * t2 - s12 * t1) / det
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return 1, 0.0, 0.0
     return 0, x, y
 
 
@@ -154,13 +157,20 @@ def ekf_correct(pred, pcov, ax, ay, z, r):
 
     The innovation is z minus the ranges the prediction implies; the
     covariance update (I - K H) E is symmetrized against drift. Returns
-    (status, pos, cov); status 1 flags a prediction on an anchor and
-    hands the prediction back unchanged."""
+    (status, pos, cov) with status 0 on success. Otherwise the prediction
+    comes back unchanged: status 1 flags a prediction on an anchor, and
+    status 2 a singular innovation covariance or a corrected position
+    outside the float range (a diverged filter)."""
     status, h, ranges = range_jacobian(pred, ax, ay)
     if status != 0:
         return 1, pred, pcov
-    k = ekf_gain(pcov, h, r)
+    try:
+        k = ekf_gain(pcov, h, r)
+    except np.linalg.LinAlgError:
+        return 2, pred, pcov
     new_pos = pred + k @ (z - ranges)
+    if not (math.isfinite(new_pos[0]) and math.isfinite(new_pos[1])):
+        return 2, pred, pcov
     new_cov = (np.eye(2) - k @ h) @ pcov
     return 0, new_pos, 0.5 * (new_cov + new_cov.T)
 

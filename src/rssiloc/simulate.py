@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
-from .errors import CapacityError, NoResolvedStepsError
+from .errors import CapacityError, FilterDivergenceError, NoResolvedStepsError
 from .geometry import AnchorNode, Dbm, NodeId, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .spectrum import ChannelEnvironment, packet_success
@@ -50,6 +50,7 @@ MONITOR_WINDOW = 20
 MONITOR_FAILURE_THRESHOLD = 0.2
 
 _MAX_PLANNED_BEACONS = 1_000_000
+_MAX_LATTICE_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ class Scenario:
             raise ValueError("scenario needs at least one beacon")
         if not self.trajectory:
             raise ValueError("scenario needs at least one trajectory point")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.aggregation_window < 1:
             raise ValueError("aggregation_window must be >= 1")
         ids = [b.id for b in self.beacons]
@@ -148,11 +151,13 @@ def plan_square_grid_deployment(
         raise ValueError("roi must have positive width and height")
 
     nominal = safety * radio_range / math.sqrt(2.0)
-    cells_x = max(1, math.ceil(roi.width / nominal))
-    cells_y = max(1, math.ceil(roi.height / nominal))
+    # a span clamped at the cap still trips it, and a denormal range or
+    # safety (an infinite span) never reaches ceil()
+    cells_x = max(1, math.ceil(min(roi.width / nominal, _MAX_PLANNED_BEACONS)))
+    cells_y = max(1, math.ceil(min(roi.height / nominal, _MAX_PLANNED_BEACONS)))
     if (cells_x + 1) * (cells_y + 1) > _MAX_PLANNED_BEACONS:
         raise CapacityError(
-            f"plan would need {(cells_x + 1) * (cells_y + 1)} beacons "
+            f"plan would need at least {(cells_x + 1) * (cells_y + 1)} beacons "
             f"(limit {_MAX_PLANNED_BEACONS})"
         )
     spacing_x = roi.width / cells_x
@@ -181,6 +186,14 @@ def verify_three_coverage(
     beacons. Returns the verdict and any uncovered sample points."""
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    # bound the lattice in floats before any count becomes an int or array;
+    # each axis holds at most span / step + 2 points
+    points = (roi.width / grid_step + 2.0) * (roi.height / grid_step + 2.0)
+    if points > _MAX_LATTICE_POINTS:
+        raise CapacityError(
+            f"verification lattice would hold about {points:.3g} points "
+            f"(limit {_MAX_LATTICE_POINTS})"
+        )
     xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
     gx, gy = np.meshgrid(xs, ys)
@@ -268,6 +281,8 @@ def run_scenario(s: Scenario) -> RunResult:
                     cfg.state_transition, cfg.control, cfg.process_noise,
                     cfg.measurement_noise,
                 )
+                if ok == 2:
+                    raise FilterDivergenceError(f"range filter diverged at step {step}")
                 if ok == 0:
                     kf_pos, kf_cov = kf_pos_new, kf_cov_new
                     kf_pt = Point2D(float(kf_pos[0]), float(kf_pos[1]))

@@ -43,6 +43,15 @@ _OVERLAP_THRESHOLD_MHZ = (ZIGBEE_BANDWIDTH_MHZ + WIFI_BANDWIDTH_MHZ) / 2.0
 
 ZIGBEE_CHANNELS = tuple(range(11, 27))
 
+# Powers add in milliwatts, and 10 ** (p / 10) stays a normal positive
+# float for |p| up to about 3080 dBm.
+_POWER_LIMIT_DBM = 3000.0
+
+
+def _check_power(p: Dbm, name: str) -> None:
+    if not -_POWER_LIMIT_DBM <= p <= _POWER_LIMIT_DBM:
+        raise ValueError(f"{name} must be within +-{_POWER_LIMIT_DBM:g} dBm, got {p}")
+
 
 @dataclass(frozen=True, order=True)
 class ZigbeeChannel:
@@ -85,6 +94,7 @@ class InterfererProfile:
     def __post_init__(self):
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ValueError(f"duty_cycle must be in [0, 1], got {self.duty_cycle}")
+        _check_power(self.rx_power, "rx_power")
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,7 @@ class ChannelEnvironment:
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        _check_power(self.noise_floor, "noise_floor")
 
 
 def zigbee_center_mhz(c: ZigbeeChannel) -> float:

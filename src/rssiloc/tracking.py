@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import SingularGeometryError
+from .errors import FilterDivergenceError, SingularGeometryError
 from .geometry import AnchorNode
 
 __all__ = [
@@ -147,6 +147,8 @@ def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) ->
         predicted.position, predicted.covariance,
         anchors[:, 0], anchors[:, 1], meas.ranges, cfg.measurement_noise,
     )
+    if status == 2:
+        raise FilterDivergenceError("innovation covariance singular or state not finite")
     if status != 0:
         raise SingularGeometryError("predicted position coincides with an anchor")
     return KalmanState(position, covariance)

@@ -1,14 +1,30 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rssiloc import cli
 from rssiloc.cli import (
     EXIT_DOMAIN,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
+    parse_scenario,
+    scenario_to_dict,
 )
+from rssiloc.channel import ScanConfig
+from rssiloc.geometry import AnchorNode, Point2D, Rect
+from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel
+from rssiloc.simulate import Scenario
+from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
+from rssiloc.tracking import KalmanConfig
+
+DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk.json"
 
 TRIANGLE_BEACONS = [
     {"id": 0, "x_m": 0, "y_m": 0},
@@ -58,6 +74,16 @@ def test_simulate_unknown_field_rejected(tmp_path):
 def test_simulate_malformed_json(tmp_path):
     scn = tmp_path / "s.json"
     scn.write_text("{not json")
+    assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+])
+def test_simulate_undecodable_file(tmp_path, content):
+    scn = tmp_path / "s.json"
+    scn.write_bytes(content)
     assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
 
 
@@ -239,3 +265,204 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, overrides):
 def test_simulate_trajectory_on_beacon_is_input_error(tmp_path):
     scn = write_scenario(tmp_path / "s.json", trajectory_m=[[12, 9], [30, 0]])
     assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+
+def run_simulate(tmp_path, **overrides) -> int:
+    scn = write_scenario(tmp_path / "s.json", **overrides)
+    return main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+
+
+def _interferer(**fields):
+    return {"environment": {"interferers": [
+        {"wifi_channel": 6, "rx_power_dbm": -70.0, "duty_cycle": 0.5, **fields}]}}
+
+
+# Values the library types reject: each exits 2 and names where it sits.
+@pytest.mark.parametrize("overrides, path, named", [
+    ({"path_loss": {"exponent": -1}}, "$.path_loss", "exponent"),
+    ({"shadowing": {"sigma_db": -1}}, "$.shadowing", "sigma"),
+    ({"radio": {"sensitivity_dbm": 30}}, "$.radio", "sensitivity"),
+    ({"scan": {"samples_per_channel": 0}}, "$.scan.samples_per_channel", "got 0"),
+    (_interferer(wifi_channel=99), "$.environment.interferers[0].wifi_channel", "99"),
+    (_interferer(duty_cycle=2), "$.environment.interferers[0]", "duty_cycle"),
+    ({"kalman": {"process_noise_m2": [[0.01, 0.005], [0, 0.01]]}}, "$.kalman", "process_noise"),
+    ({"roi_m": {"x_min": 30, "y_min": 0, "x_max": 0, "y_max": 30}}, "$.roi_m", "inverted"),
+    ({"beacons": [{"id": -1, "x_m": 0, "y_m": 0}] + TRIANGLE_BEACONS[1:]}, "$.beacons[0]", "id"),
+    ({"environment": {"interferers": 5}}, "$.environment.interferers", "list"),
+])
+def test_library_rejection_exits_2_with_field_path(tmp_path, capsys, overrides, path, named):
+    assert run_simulate(tmp_path, **overrides) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"trajectory_m": {"static": [12, 9], "steps": 100_000_000}},
+    {"trajectory_m": {"static": [12, 9], "steps": cli.MAX_STEPS + 1}},
+    {"aggregation_window": 10**12},
+    {"scan": {"samples_per_channel": cli.MAX_SAMPLES + 1}},
+])
+def test_sizes_over_their_cap_exit_2(tmp_path, capsys, overrides):
+    assert run_simulate(tmp_path, **overrides) == EXIT_INPUT
+    assert "must be in [1, " in capsys.readouterr().err
+
+
+def _desk(tmp_path, **overrides) -> str:
+    doc = json.loads(DESK.read_text())
+    doc.update(overrides)
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# Well-formed input whose estimation or planning problem fails: exit 3.
+DOMAIN_FAILURES = {
+    # no beacon is heard above a -50 dBm sensitivity: no step resolves
+    "unheard": lambda tmp: ["simulate", "--scenario", _desk(tmp, radio={"sensitivity_dbm": -50})],
+    # three collinear beacons: every lateration is singular
+    "collinear": lambda tmp: ["simulate", "--scenario", _desk(tmp, beacons=[
+        {"id": i, "x_m": 15.0 * i, "y_m": 0} for i in range(3)])],
+    # R negligible next to a huge Q: the filter cannot correct
+    "filter_diverges": lambda tmp: ["simulate", "--scenario", _desk(tmp, kalman={
+        "process_noise_m2": [[1e30, 0], [0, 1e30]],
+        "measurement_noise_m2": [[1e-30, 0, 0], [0, 1e-30, 0], [0, 0, 1e-30]]})],
+    "plan_capacity": lambda tmp: ["deploy", "--roi", "100000x100000", "--range-m", "1"],
+    "denormal_range": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "5e-324"],
+    "lattice_capacity": lambda tmp: ["deploy", "--roi", "1000x1000", "--range-m", "25",
+                                     "--grid-step", "0.001"],
+    "denormal_grid_step": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "25",
+                                       "--grid-step", "5e-324"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_FAILURES))
+def test_domain_failures_exit_3(tmp_path, capsys, case):
+    argv = DOMAIN_FAILURES[case](tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
+    calls = {"parse": 0, "precheck": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "parse_scenario", counted("parse", cli.parse_scenario))
+    monkeypatch.setattr(cli, "_coverage_precheck", counted("precheck", cli._coverage_precheck))
+    scn = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "4"]) == EXIT_OK
+    assert calls == {"parse": 1, "precheck": 1}
+    seeds = [json.loads((out / f"seed_{s}" / "summary.json").read_text())["seed"] for s in range(42, 46)]
+    assert seeds == [42, 43, 44, 45]
+
+
+@st.composite
+def scenarios(draw):
+    """Small valid scenarios with every section set."""
+    unit = st.floats(0.0, 1.0)
+    dbm = st.floats(-200.0, 100.0)
+    positive = st.floats(0.01, 1e3)
+    x0, y0 = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    roi = Rect(x0, y0, x0 + draw(positive), y0 + draw(positive))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True))
+    beacons = tuple(AnchorNode(i, Point2D(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))))
+                    for i in ids)
+    on_beacon = {b.position for b in beacons}
+    walk = st.builds(lambda u, v: Point2D(roi.x_min + u * roi.width, roi.y_min + v * roi.height),
+                     unit, unit).filter(lambda p: roi.contains(p) and p not in on_beacon)
+    tx = draw(dbm)
+    a, b = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
+    r_off = [draw(st.floats(-0.4, 0.4)) for _ in range(3)]
+    return Scenario(
+        roi=roi,
+        beacons=beacons,
+        trajectory=tuple(draw(st.lists(walk, min_size=1, max_size=4))),
+        seed=draw(st.integers(0, 2**64)),
+        path_loss=PathLossParams(draw(dbm), draw(positive), draw(positive)),
+        radio=RadioSpec(tx, tx - draw(positive), draw(positive)),
+        shadowing=ShadowingModel(draw(st.floats(0.0, 10.0))),
+        environment=ChannelEnvironment(
+            tuple(InterfererProfile(WifiChannel(draw(st.integers(1, 13))), draw(dbm), draw(unit))
+                  for _ in range(draw(st.integers(0, 3)))),
+            draw(dbm),
+        ),
+        scan=ScanConfig(draw(st.integers(1, cli.MAX_SAMPLES)), draw(st.floats(0.0, 1e3))),
+        kalman=KalmanConfig(
+            np.array([[draw(st.floats(-2, 2)) for _ in range(2)] for _ in range(2)]),
+            np.array([draw(st.floats(-5, 5)) for _ in range(2)]),
+            # diagonally dominant: Q positive semidefinite, R positive definite
+            np.array([[a, 0.5 * min(a, b)], [0.5 * min(a, b), b]]),
+            np.array([[1.0, r_off[0], r_off[1]], [r_off[0], 1.5, r_off[2]],
+                      [r_off[1], r_off[2], 2.0]]),
+        ),
+        aggregation_window=draw(st.integers(1, cli.MAX_SAMPLES)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios())
+def test_scenario_echo_round_trips(s):
+    echo = scenario_to_dict(s)
+    assert scenario_to_dict(parse_scenario(json.loads(json.dumps(echo)))) == echo
+
+
+# A valid document that sets every section, on a three-step walk.
+FULL_DOC = {
+    "seed": 3,
+    "roi_m": {"x_min": 0, "y_min": 0, "x_max": 30, "y_max": 30},
+    "beacons": TRIANGLE_BEACONS,
+    "trajectory_m": [[12, 9], [13, 10], [14, 11]],
+    "path_loss": {"rssi_at_ref_dbm": -45.0, "ref_distance_m": 1.0, "exponent": 2.0},
+    "radio": {"tx_power_dbm": 20.0, "sensitivity_dbm": -107.0, "max_range_m": 60.0},
+    "shadowing": {"sigma_db": 2.0},
+    "environment": {
+        "noise_floor_dbm": -100.0,
+        "interferers": [{"wifi_channel": 6, "rx_power_dbm": -70.0, "duty_cycle": 0.5}],
+    },
+    "scan": {"samples_per_channel": 2, "sample_interval_ms": 100.0},
+    "kalman": {
+        "state_transition": [[1, 0], [0, 1]],
+        "control_m": [0, 0],
+        "process_noise_m2": [[0.01, 0], [0, 0.01]],
+        "measurement_noise_m2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    },
+    "aggregation_window": 4,
+}
+
+
+def _doc_paths(obj, prefix=()):
+    """Key/index path of every value inside a document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _doc_paths(value, prefix + (key,))
+
+
+# Small integers and any float up front: most fields hold numbers, and
+# their boundaries (-1, 0, 2, 99, huge, NaN) sit there.
+JSON_VALUES = st.integers(-2, 100) | st.floats() | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_doc_paths(FULL_DOC))), JSON_VALUES)
+def test_fuzzed_field_never_exits_internal(path, value):
+    """Any JSON value in place of any one field is rejected or run, never a crash."""
+    doc = copy.deepcopy(FULL_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "s.json"
+        scn.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scn), "--out", str(Path(tmp) / "o")]) != EXIT_INTERNAL

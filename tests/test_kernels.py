@@ -158,6 +158,14 @@ def test_lateration_flags_collinear():
     assert kernels.lateration_solve(ax, ay, d)[0] == 1
 
 
+def test_lateration_flags_non_finite_solution():
+    # a range whose square leaves the float range has no finite fix
+    ax = np.array([0.0, 30.0, 15.0])
+    ay = np.array([0.0, 0.0, 30.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert kernels.lateration_solve(ax, ay, np.array([1e200, 5.0, 5.0])) == (1, 0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # range EKF
 
@@ -230,6 +238,17 @@ def test_ekf_step_flags_anchor_coincidence():
         np.eye(2), np.zeros(2), np.zeros((2, 2)), np.eye(3),
     )
     assert out[0] == 1
+
+
+@pytest.mark.parametrize("cov, z, r", [
+    (np.zeros((2, 2)), np.array([5.0, 6.0, 7.0]), np.zeros((3, 3))),  # singular H E H^T + R
+    (np.eye(2), np.array([5.0, 6.0, np.inf]), np.eye(3)),  # non-finite correction
+])
+def test_ekf_correct_flags_divergence(cov, z, r):
+    pred = np.array([10.0, 10.0])
+    status, pos, out_cov = kernels.ekf_correct(pred, cov, EKF_AX, EKF_AY, z, r)
+    assert status == 2
+    assert pos is pred and out_cov is cov
 
 
 def test_range_jacobian_rows_and_ranges():

@@ -68,6 +68,15 @@ def test_planner_output_always_three_covers():
 def test_planner_capacity_limit():
     with pytest.raises(CapacityError):
         plan_square_grid_deployment(Rect(0, 0, 1000, 1000), 1.4)
+    with pytest.raises(CapacityError):  # an infinite span, bounded before ceil()
+        plan_square_grid_deployment(Rect(0, 0, 30, 30), 5e-324)
+
+
+def test_verifier_lattice_capacity_limit():
+    plan = plan_square_grid_deployment(Rect(0, 0, 1000, 1000), 25.0)
+    for step in (0.001, 5e-324):  # 1e12 points, and an infinite count
+        with pytest.raises(CapacityError):
+            verify_three_coverage(plan, Rect(0, 0, 1000, 1000), 25.0, grid_step=step)
 
 
 def test_planner_validation():
@@ -193,6 +202,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
                  trajectory=(Point2D(5, 5), Point2D(30, 0)), seed=1)  # on a beacon
+    with pytest.raises(ValueError):
+        Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
+                 trajectory=(Point2D(5, 5),), seed=-1)  # no generator takes it
 
 
 # ---------------------------------------------------------------------------

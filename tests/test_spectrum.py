@@ -126,3 +126,16 @@ def test_duty_cycle_validation():
         InterfererProfile(WifiChannel(1), -70.0, 1.5)
     with pytest.raises(ValueError):
         InterfererProfile(WifiChannel(1), -70.0, -0.1)
+
+
+def test_power_levels_stay_within_milliwatt_range():
+    # beyond +-3000 dBm the milliwatt sum would leave the float range
+    for bad in (3083.0, -3300.0, math.nan):
+        with pytest.raises(ValueError):
+            InterfererProfile(WifiChannel(1), bad, 0.5)
+        with pytest.raises(ValueError):
+            ChannelEnvironment(noise_floor=bad)
+    env = ChannelEnvironment((InterfererProfile(WifiChannel(1), 3000.0, 1.0),), -3000.0)
+    rng = np.random.default_rng(0)
+    assert channel_energy_sample(env, ZigbeeChannel(11), rng) == pytest.approx(3000.0)
+    assert channel_energy_sample(env, ZigbeeChannel(26), rng) == pytest.approx(-3000.0)

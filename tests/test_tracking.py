@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rssiloc.errors import SingularGeometryError
+from rssiloc.errors import FilterDivergenceError, SingularGeometryError
 from rssiloc.geometry import AnchorNode, Point2D
 from rssiloc.tracking import (
     KalmanConfig,
@@ -214,6 +214,14 @@ def test_config_validation():
         KalmanConfig(measurement_noise=np.zeros((3, 3)))  # not positive definite
     with pytest.raises(ValueError):
         KalmanConfig(process_noise=-np.eye(2))  # negative semidefinite
+
+
+def test_update_raises_on_divergence():
+    # an infinite range leaves no finite correction
+    state = KalmanState(np.array([10.0, 12.0]), np.eye(2))
+    meas = RangeMeasurement(ANCHORS, np.array([5.0, 6.0, np.inf]))
+    with pytest.raises(FilterDivergenceError):
+        update(state, meas, KalmanConfig())
 
 
 def test_measurement_validation():
