@@ -32,6 +32,7 @@ from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
+    Metrics,
     RunResult,
     Scenario,
     compute_metrics,
@@ -293,30 +294,30 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _metrics(result: RunResult) -> dict:
-    """Error statistics of each estimate flavor, as written to the outputs."""
-    metrics = {}
-    for flavor in ("raw", "averaged", "kalman"):
-        m = compute_metrics(result, flavor)
-        metrics[flavor] = {
-            "rmse_m": m.rmse,
-            "mean_error_m": m.mean_error,
-            "max_error_m": m.max_error,
-            "error_cdf_m": list(m.error_cdf),
-            "resolved_steps": m.resolved_steps,
-            "unresolved_steps": m.unresolved_steps,
-        }
-    return metrics
-
-
-def _xy(p: Point2D | None) -> tuple:
-    return (None, None) if p is None else (p.x, p.y)
+def _metrics_dict(m: Metrics) -> dict:
+    return {
+        "rmse_m": m.rmse,
+        "mean_error_m": m.mean_error,
+        "max_error_m": m.max_error,
+        "error_cdf_m": list(m.error_cdf),
+        "resolved_steps": m.resolved_steps,
+        "unresolved_steps": m.unresolved_steps,
+    }
 
 
 def _step_rows(result: RunResult) -> list[list]:
-    return [[rec.step, *_xy(rec.true_position), *_xy(rec.raw), *_xy(rec.averaged),
-             *_xy(rec.kalman), rec.channel, 1 if rec.resolved else 0]
-            for rec in result.steps]
+    rows = []
+    for rec in result.steps:
+        rows.append([
+            rec.step,
+            rec.true_position.x, rec.true_position.y,
+            rec.raw.x if rec.raw else None, rec.raw.y if rec.raw else None,
+            rec.averaged.x if rec.averaged else None, rec.averaged.y if rec.averaged else None,
+            rec.kalman.x if rec.kalman else None, rec.kalman.y if rec.kalman else None,
+            rec.channel,
+            1 if rec.resolved else 0,
+        ])
+    return rows
 
 
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
@@ -335,7 +336,11 @@ def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -
     summary = {
         "seed": s.seed,
         "config": scenario_to_dict(s),
-        "metrics": _metrics(result),
+        "metrics": {
+            "raw": _metrics_dict(compute_metrics(result, "raw")),
+            "averaged": _metrics_dict(compute_metrics(result, "averaged")),
+            "kalman": _metrics_dict(compute_metrics(result, "kalman")),
+        },
     }
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -468,7 +473,11 @@ def cmd_compare(args) -> int:
             for rec in result.steps]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
-    metrics = _metrics(result)
+    metrics = {
+        "raw": _metrics_dict(compute_metrics(result, "raw")),
+        "averaged": _metrics_dict(compute_metrics(result, "averaged")),
+        "kalman": _metrics_dict(compute_metrics(result, "kalman")),
+    }
     _write_json(out_dir / "metrics.json", metrics)
     for name in ("raw", "averaged", "kalman"):
         print(f"{name:9s} rmse {metrics[name]['rmse_m']:.4f} m")

@@ -15,7 +15,8 @@ class InsufficientAnchorsError(LocalizationError):
 
 
 class DegenerateGeometryError(LocalizationError):
-    """Anchor layout leaves the position underdetermined (collinear set)."""
+    """Anchor layout leaves the position underdetermined (collinear set),
+    or the ranges put the solution outside the float range."""
 
 
 class SingularGeometryError(LocalizationError):

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _COVERAGE_CHUNK = 1 << 16
+_COVERAGE_ELEMENTS = 1 << 24
 _ANCHOR_EPS = 1e-9
 
 
@@ -192,8 +193,10 @@ def coverage_counts(px, py, bx, by, radius, cap):
     n = px.shape[0]
     counts = np.zeros(n, dtype=np.int64)
     r2 = radius * radius
-    for start in range(0, n, _COVERAGE_CHUNK):
-        stop = min(start + _COVERAGE_CHUNK, n)
+    # each chunk holds at most _COVERAGE_ELEMENTS point-beacon pairs
+    rows = max(1, min(_COVERAGE_CHUNK, _COVERAGE_ELEMENTS // max(1, bx.shape[0])))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         dx = px[start:stop, None] - bx[None, :]
         dy = py[start:stop, None] - by[None, :]
         counts[start:stop] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)

@@ -107,7 +107,10 @@ def _solve(anchors: tuple[AnchorNode, ...], ranges: tuple[float, ...]) -> Positi
     d = np.array(ranges)
     status, x, y = kernels.lateration_solve(ax, ay, d)
     if status != 0:
-        raise DegenerateGeometryError("anchors are collinear; position underdetermined")
+        raise DegenerateGeometryError(
+            "anchors are collinear or ranges exceed the float range; "
+            "position underdetermined"
+        )
     return PositionEstimate(Point2D(x, y))
 
 

@@ -51,6 +51,7 @@ MONITOR_FAILURE_THRESHOLD = 0.2
 
 _MAX_PLANNED_BEACONS = 1_000_000
 _MAX_LATTICE_POINTS = 4_000_000
+_MAX_COVERAGE_PAIRS = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,13 @@ def plan_square_grid_deployment(
         raise ValueError("roi must have positive width and height")
 
     nominal = safety * radio_range / math.sqrt(2.0)
-    # a span clamped at the cap still trips it, and a denormal range or
-    # safety (an infinite span) never reaches ceil()
-    cells_x = max(1, math.ceil(min(roi.width / nominal, _MAX_PLANNED_BEACONS)))
-    cells_y = max(1, math.ceil(min(roi.height / nominal, _MAX_PLANNED_BEACONS)))
+    # a span clamped at the cap still trips it; a tiny range or safety gives
+    # an infinite span, or a nominal spacing that underflows to 0, and
+    # neither reaches the division or ceil()
+    span_x = roi.width / nominal if nominal > 0.0 else math.inf
+    span_y = roi.height / nominal if nominal > 0.0 else math.inf
+    cells_x = max(1, math.ceil(min(span_x, _MAX_PLANNED_BEACONS)))
+    cells_y = max(1, math.ceil(min(span_y, _MAX_PLANNED_BEACONS)))
     if (cells_x + 1) * (cells_y + 1) > _MAX_PLANNED_BEACONS:
         raise CapacityError(
             f"plan would need at least {(cells_x + 1) * (cells_y + 1)} beacons "
@@ -193,6 +197,13 @@ def verify_three_coverage(
         raise CapacityError(
             f"verification lattice would hold about {points:.3g} points "
             f"(limit {_MAX_LATTICE_POINTS})"
+        )
+    # the distance tests grow with points x beacons, which bounds the time
+    pairs = points * len(plan.positions)
+    if pairs > _MAX_COVERAGE_PAIRS:
+        raise CapacityError(
+            f"coverage check would test about {pairs:.3g} point-beacon pairs "
+            f"(limit {_MAX_COVERAGE_PAIRS})"
         )
     xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)

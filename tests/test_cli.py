@@ -328,6 +328,9 @@ DOMAIN_FAILURES = {
         "measurement_noise_m2": [[1e-30, 0, 0], [0, 1e-30, 0], [0, 0, 1e-30]]})],
     "plan_capacity": lambda tmp: ["deploy", "--roi", "100000x100000", "--range-m", "1"],
     "denormal_range": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "5e-324"],
+    "underflow_spacing": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "1e-200",
+                                      "--safety", "1e-200"],
+    "coverage_pairs": lambda tmp: ["deploy", "--roi", "400x400", "--range-m", "5"],
     "lattice_capacity": lambda tmp: ["deploy", "--roi", "1000x1000", "--range-m", "25",
                                      "--grid-step", "0.001"],
     "denormal_grid_step": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "25",

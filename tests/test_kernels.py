@@ -30,6 +30,17 @@ def test_coverage_counts_paths_agree_with_oracle():
     assert np.array_equal(kernels.coverage_counts(px, py, bx, by, 20.0, 3), expected)
 
 
+def test_coverage_counts_chunks_bound_pairs(monkeypatch):
+    # a pair budget below one row of beacons still makes progress, one row
+    # per chunk, and the counts match the unchunked oracle
+    rng = np.random.default_rng(1)
+    px, py, bx, by = (rng.uniform(0, 50, n) for n in (300, 300, 30, 30))
+    expected = python_coverage_oracle(px, py, bx, by, 12.0, 3)
+    for budget in (7, 64, 1000):
+        monkeypatch.setattr(kernels, "_COVERAGE_ELEMENTS", budget)
+        assert np.array_equal(kernels.coverage_counts(px, py, bx, by, 12.0, 3), expected)
+
+
 def test_coverage_counts_closed_ball():
     px = np.array([3.0])
     py = np.array([0.0])

@@ -70,6 +70,8 @@ def test_planner_capacity_limit():
         plan_square_grid_deployment(Rect(0, 0, 1000, 1000), 1.4)
     with pytest.raises(CapacityError):  # an infinite span, bounded before ceil()
         plan_square_grid_deployment(Rect(0, 0, 30, 30), 5e-324)
+    with pytest.raises(CapacityError):  # the nominal spacing underflows to 0
+        plan_square_grid_deployment(Rect(0, 0, 30, 30), 1e-200, safety=1e-200)
 
 
 def test_verifier_lattice_capacity_limit():
@@ -77,6 +79,14 @@ def test_verifier_lattice_capacity_limit():
     for step in (0.001, 5e-324):  # 1e12 points, and an infinite count
         with pytest.raises(CapacityError):
             verify_three_coverage(plan, Rect(0, 0, 1000, 1000), 25.0, grid_step=step)
+
+
+def test_verifier_pair_capacity_limit():
+    # 16,129 beacons x ~2.57e6 lattice points: the lattice alone is allowed
+    roi = Rect(0, 0, 400, 400)
+    plan = plan_square_grid_deployment(roi, 5.0)
+    with pytest.raises(CapacityError, match="point-beacon pairs"):
+        verify_three_coverage(plan, roi, 5.0)
 
 
 def test_planner_validation():
