@@ -71,7 +71,6 @@ from .simulate import (
     Metrics,
     RunResult,
     Scenario,
-    StepRecord,
     compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,

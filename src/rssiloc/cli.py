@@ -32,7 +32,6 @@ from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
-    Metrics,
     RunResult,
     Scenario,
     compute_metrics,
@@ -294,30 +293,33 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _metrics_dict(m: Metrics) -> dict:
-    return {
-        "rmse_m": m.rmse,
-        "mean_error_m": m.mean_error,
-        "max_error_m": m.max_error,
-        "error_cdf_m": list(m.error_cdf),
-        "resolved_steps": m.resolved_steps,
-        "unresolved_steps": m.unresolved_steps,
-    }
+def _metrics_block(result: RunResult) -> dict:
+    """Error statistics of each estimate flavor, as summary.json and
+    metrics.json carry them."""
+    block = {}
+    for flavor in ("raw", "averaged", "kalman"):
+        m = compute_metrics(result, flavor)
+        block[flavor] = {
+            "rmse_m": m.rmse,
+            "mean_error_m": m.mean_error,
+            "max_error_m": m.max_error,
+            "error_cdf_m": list(m.error_cdf),
+            "resolved_steps": m.resolved_steps,
+            "unresolved_steps": m.unresolved_steps,
+        }
+    return block
+
+
+def _cells(values: list[float]) -> list:
+    """Row values with NaN (an absent estimate) as None, an empty cell."""
+    return [None if math.isnan(v) else v for v in values]
 
 
 def _step_rows(result: RunResult) -> list[list]:
-    rows = []
-    for rec in result.steps:
-        rows.append([
-            rec.step,
-            rec.true_position.x, rec.true_position.y,
-            rec.raw.x if rec.raw else None, rec.raw.y if rec.raw else None,
-            rec.averaged.x if rec.averaged else None, rec.averaged.y if rec.averaged else None,
-            rec.kalman.x if rec.kalman else None, rec.kalman.y if rec.kalman else None,
-            rec.channel,
-            1 if rec.resolved else 0,
-        ])
-    return rows
+    positions = np.hstack([result.true, result.raw, result.averaged, result.kalman]).tolist()
+    columns = zip(positions, result.channel.tolist(), result.resolved.tolist())
+    return [[step, *_cells(row), channel, int(resolved)]
+            for step, (row, channel, resolved) in enumerate(columns)]
 
 
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
@@ -336,11 +338,7 @@ def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -
     summary = {
         "seed": s.seed,
         "config": scenario_to_dict(s),
-        "metrics": {
-            "raw": _metrics_dict(compute_metrics(result, "raw")),
-            "averaged": _metrics_dict(compute_metrics(result, "averaged")),
-            "kalman": _metrics_dict(compute_metrics(result, "kalman")),
-        },
+        "metrics": _metrics_block(result),
     }
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -392,7 +390,7 @@ def cmd_simulate(args) -> int:
         out_dir = out_root if args.seeds is None else out_root / f"seed_{s.seed}"
         summary = write_run_outputs(result, s, out_dir, args.format)
         kf = summary["metrics"]["kalman"]
-        print(f"seed {s.seed}: {len(result.steps)} steps, "
+        print(f"seed {s.seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
     return EXIT_OK
 
@@ -461,23 +459,12 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def err(est, true_pt):
-        if est is None:
-            return None
-        return float(np.hypot(est.x - true_pt.x, est.y - true_pt.y))
-
-    rows = [[rec.step,
-             err(rec.raw, rec.true_position),
-             err(rec.averaged, rec.true_position),
-             err(rec.kalman, rec.true_position)]
-            for rec in result.steps]
+    errors = np.column_stack([np.hypot(*(est - result.true).T)
+                              for est in (result.raw, result.averaged, result.kalman)])
+    rows = [[step, *_cells(row)] for step, row in enumerate(errors.tolist())]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
-    metrics = {
-        "raw": _metrics_dict(compute_metrics(result, "raw")),
-        "averaged": _metrics_dict(compute_metrics(result, "averaged")),
-        "kalman": _metrics_dict(compute_metrics(result, "kalman")),
-    }
+    metrics = _metrics_block(result)
     _write_json(out_dir / "metrics.json", metrics)
     for name in ("raw", "averaged", "kalman"):
         print(f"{name:9s} rmse {metrics[name]['rmse_m']:.4f} m")

@@ -11,9 +11,13 @@ step. Three estimate flavors are recorded from the same random draws:
     averaged  lateration on the window means
     kalman    averaged estimate passed through the range filter
 
-Time is virtual: the sampling/aggregation intervals are bookkeeping on
-the records and a step counter advances the run, so equal scenarios
-(seed included) reproduce bit-equal results.
+A run returns its results as columns, one row per trajectory step
+(RunResult): the true position, each flavor's estimate (NaN where the
+step has none), the active channel and the aggregated RSSI per beacon.
+
+Time is virtual: the sampling/aggregation intervals are bookkeeping and
+a step counter advances the run, so equal scenarios (seed included)
+reproduce bit-equal results.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import kernels
 from .channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
 from .errors import CapacityError, FilterDivergenceError, NoResolvedStepsError
-from .geometry import AnchorNode, Dbm, NodeId, Point2D, Rect
+from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .spectrum import ChannelEnvironment, packet_success
 from .tracking import KalmanConfig
@@ -34,7 +38,6 @@ from .tracking import KalmanConfig
 __all__ = [
     "Scenario",
     "DeploymentPlan",
-    "StepRecord",
     "RunResult",
     "Metrics",
     "plan_square_grid_deployment",
@@ -102,21 +105,28 @@ class DeploymentPlan:
     spacing_y: float
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    true_position: Point2D
-    raw: Point2D | None
-    averaged: Point2D | None
-    kalman: Point2D | None
-    channel: int
-    anchor_rssi: dict[NodeId, Dbm]
-    resolved: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    steps: tuple[StepRecord, ...]
+    """Per-step columns of one run; row t belongs to trajectory step t.
+
+    true, raw, averaged, kalman : (T, 2) float64 positions in meters; an
+        estimate row is NaN where the step has no such estimate
+    channel : (T,) int64 active ZigBee channel index
+    rssi : (T, n_beacons) aggregated dBm in scenario beacon order, NaN
+        where a beacon was unheard over the whole window
+    """
+
+    true: np.ndarray
+    raw: np.ndarray
+    averaged: np.ndarray
+    kalman: np.ndarray
+    channel: np.ndarray
+    rssi: np.ndarray
+
+    @property
+    def resolved(self) -> np.ndarray:
+        """(T,) bool: the step carries an averaged estimate."""
+        return ~np.isnan(self.averaged[:, 0])
 
 
 @dataclass(frozen=True)
@@ -226,9 +236,9 @@ def run_scenario(s: Scenario) -> RunResult:
     """Execute the full pipeline over the scenario trajectory.
 
     Steps where fewer than three beacons are heard degrade gracefully:
-    they are recorded unresolved with absent estimates and the run
-    continues. The Kalman chain initializes on the first averaged fix
-    with zero covariance and advances once per resolved step.
+    their estimate rows stay NaN and the run continues. The Kalman chain
+    initializes on the first averaged fix with zero covariance and
+    advances once per resolved step.
     """
     rng = np.random.default_rng(s.seed)
 
@@ -247,8 +257,14 @@ def run_scenario(s: Scenario) -> RunResult:
     kf_pos: np.ndarray | None = None
     kf_cov: np.ndarray | None = None
 
-    records = []
-    for step, true_pt in enumerate(s.trajectory):
+    n_steps = len(s.trajectory)
+    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+    raw = np.full((n_steps, 2), np.nan)
+    averaged = np.full((n_steps, 2), np.nan)
+    kalman = np.full((n_steps, 2), np.nan)
+    channel = np.empty(n_steps, dtype=np.int64)
+    rssi = np.empty((n_steps, len(s.beacons)))
+    for step in range(n_steps):
         # Fig.-3 loop: one packet exchange per step on the active channel,
         # rescan when the failure window trips.
         monitor.record_packet_outcome(
@@ -257,73 +273,52 @@ def run_scenario(s: Scenario) -> RunResult:
         if monitor.should_rescan():
             report = scan_all_channels(s.environment, s.scan, rng)
             monitor.switch_to(select_channel(report))
+        channel[step] = monitor.active_channel.index
 
         # One window of noisy readings per beacon.
-        dist = np.hypot(beacon_x - true_pt.x, beacon_y - true_pt.y)
+        tx, ty = true[step]
+        dist = np.hypot(beacon_x - tx, beacon_y - ty)
         true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
         readings = kernels.shadowed_readings(
             true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window
         )
-        agg = kernels.db_mean(readings)
-        reachable = ~np.isnan(agg)
+        agg = rssi[step] = kernels.db_mean(readings)
 
-        anchor_rssi = {
-            int(beacon_ids[i]): float(agg[i]) for i in np.flatnonzero(reachable)
-        }
-
-        raw = _estimate(
-            beacon_x, beacon_y, beacon_ids, readings[:, 0], ~np.isnan(readings[:, 0]), pl
-        )
-        averaged = _estimate(beacon_x, beacon_y, beacon_ids, agg, reachable, pl)
-
-        kf_pt: Point2D | None = None
-        if averaged is not None:
-            avg_pt, sel_idx, sel_ranges = averaged
-            if kf_pos is None:
-                # First fix seeds the filter: zero initial covariance, the
-                # next prediction injects Q.
-                kf_pos = np.array([avg_pt.x, avg_pt.y])
-                kf_cov = np.zeros((2, 2))
-                kf_pt = avg_pt
-            else:
-                ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
-                    kf_pos, kf_cov,
-                    beacon_x[sel_idx], beacon_y[sel_idx], sel_ranges,
-                    cfg.state_transition, cfg.control, cfg.process_noise,
-                    cfg.measurement_noise,
-                )
-                if ok == 2:
-                    raise FilterDivergenceError(f"range filter diverged at step {step}")
-                if ok == 0:
-                    kf_pos, kf_cov = kf_pos_new, kf_cov_new
-                    kf_pt = Point2D(float(kf_pos[0]), float(kf_pos[1]))
+        fix = _estimate(beacon_x, beacon_y, beacon_ids, readings[:, 0], pl)
+        if fix is not None:
+            raw[step] = fix[0]
+        fix = _estimate(beacon_x, beacon_y, beacon_ids, agg, pl)
+        if fix is None:
+            continue
+        averaged[step], sel, ranges = fix
+        if kf_pos is None:
+            # First fix seeds the filter: zero initial covariance, the
+            # next prediction injects Q.
+            kf_pos = averaged[step].copy()
+            kf_cov = np.zeros((2, 2))
+        else:
+            ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
+                kf_pos, kf_cov,
+                beacon_x[sel], beacon_y[sel], ranges,
+                cfg.state_transition, cfg.control, cfg.process_noise,
+                cfg.measurement_noise,
+            )
+            if ok == 2:
+                raise FilterDivergenceError(f"range filter diverged at step {step}")
+            if ok != 0:
                 # prediction landing on an anchor: keep the previous state,
                 # leave this step's filtered estimate absent
-            avg_point = avg_pt
-        else:
-            avg_point = None
-
-        records.append(
-            StepRecord(
-                step=step,
-                true_position=true_pt,
-                raw=None if raw is None else raw[0],
-                averaged=avg_point,
-                kalman=kf_pt,
-                channel=monitor.active_channel.index,
-                anchor_rssi=anchor_rssi,
-                resolved=avg_point is not None,
-            )
-        )
-    return RunResult(tuple(records))
+                continue
+            kf_pos, kf_cov = kf_pos_new, kf_cov_new
+        kalman[step] = kf_pos
+    return RunResult(true, raw, averaged, kalman, channel, rssi)
 
 
-def _estimate(
-    beacon_x, beacon_y, beacon_ids, rssi, usable, pl: PathLossParams
-):
-    """Top-3 selection, path-loss inversion, lateration. Returns
-    (point, selected indices, ranges) or None when unresolvable."""
-    idx = np.flatnonzero(usable)
+def _estimate(beacon_x, beacon_y, beacon_ids, rssi, pl: PathLossParams):
+    """Top-3 selection over the heard (non-NaN) readings, path-loss
+    inversion, lateration. Returns ((x, y), selected indices, ranges) or
+    None when unresolvable."""
+    idx = np.flatnonzero(~np.isnan(rssi))
     if idx.size < 3:
         return None
     sel = idx[kernels.top_k(beacon_ids[idx], rssi[idx], 3)]
@@ -331,7 +326,7 @@ def _estimate(
     status, x, y = kernels.lateration_solve(beacon_x[sel], beacon_y[sel], ranges)
     if status != 0:
         return None
-    return Point2D(x, y), sel, ranges
+    return (x, y), sel, ranges
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +338,17 @@ def compute_metrics(result: RunResult, flavor: str) -> Metrics:
     'kalman'); steps without that estimate are excluded and counted."""
     if flavor not in ("raw", "averaged", "kalman"):
         raise ValueError(f"unknown estimate flavor {flavor!r}")
-    errors = []
-    missing = 0
-    for rec in result.steps:
-        est: Point2D | None = getattr(rec, flavor)
-        if est is None:
-            missing += 1
-            continue
-        errors.append(math.hypot(est.x - rec.true_position.x, est.y - rec.true_position.y))
-    if not errors:
+    delta = getattr(result, flavor) - result.true
+    arr = np.array([math.hypot(dx, dy) for dx, dy in delta.tolist() if dx == dx])
+    if not arr.size:
         raise NoResolvedStepsError(f"no step carries a {flavor} estimate")
-    arr = np.array(errors)
     return Metrics(
         rmse=float(np.sqrt(np.mean(arr * arr))),
         mean_error=float(arr.mean()),
         max_error=float(arr.max()),
         error_cdf=tuple(float(e) for e in np.sort(arr)),
-        resolved_steps=len(errors),
-        unresolved_steps=missing,
+        resolved_steps=arr.size,
+        unresolved_steps=len(delta) - arr.size,
     )
 
 

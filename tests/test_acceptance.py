@@ -124,8 +124,8 @@ def surrogate_sweep():
     for seed in range(100):
         result = run_scenario(scenario(seed))
         tail = [
-            math.hypot(r.kalman.x - r.true_position.x, r.kalman.y - r.true_position.y)
-            for r in result.steps[-50:]
+            math.hypot(kx - tx, ky - ty)
+            for (kx, ky), (tx, ty) in zip(result.kalman[-50:].tolist(), result.true[-50:].tolist())
         ]
         rows.append({
             "tail_rmse": float(np.sqrt(np.mean(np.square(tail)))),

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +6,10 @@ import pytest
 
 from rssiloc.errors import CapacityError, NoResolvedStepsError
 from rssiloc.geometry import AnchorNode, Point2D, Rect
-from rssiloc.radio import ShadowingModel
+from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel
 from rssiloc.simulate import (
     DeploymentPlan,
+    RunResult,
     Scenario,
     compare_pipelines,
     compute_metrics,
@@ -146,19 +147,18 @@ def test_lattice_includes_ragged_boundary():
 
 def test_noise_free_run_locks_onto_target():
     res = run_scenario(triangle_scenario(seed=1, steps=12))
-    for rec in res.steps[:10]:
-        assert rec.resolved
-    tail = res.steps[9]
-    assert math.hypot(tail.kalman.x - 12.0, tail.kalman.y - 9.0) < 1e-6
+    assert res.resolved[:10].all()
+    kx, ky = res.kalman[9]
+    assert math.hypot(kx - 12.0, ky - 9.0) < 1e-6
 
 
 def test_run_is_reproducible_bytewise():
     a = run_scenario(triangle_scenario(seed=99, sigma=2.0, steps=40))
     b = run_scenario(triangle_scenario(seed=99, sigma=2.0, steps=40))
-    assert a == b
-    ser_a = json.dumps([[r.step, repr(r.raw), repr(r.averaged), repr(r.kalman), r.channel] for r in a.steps])
-    ser_b = json.dumps([[r.step, repr(r.raw), repr(r.averaged), repr(r.kalman), r.channel] for r in b.steps])
-    assert ser_a.encode() == ser_b.encode()
+    for column in dataclasses.fields(RunResult):
+        col_a, col_b = getattr(a, column.name), getattr(b, column.name)
+        assert col_a.dtype == col_b.dtype and col_a.shape == col_b.shape
+        assert col_a.tobytes() == col_b.tobytes(), column.name
 
 
 def test_interfered_run_stays_on_clean_channel():
@@ -167,7 +167,7 @@ def test_interfered_run_stays_on_clean_channel():
         noise_floor=-100.0,
     )
     res = run_scenario(triangle_scenario(seed=5, sigma=2.0, steps=80, env=env))
-    channels = {rec.channel for rec in res.steps}
+    channels = set(res.channel.tolist())
     assert channels <= {15, 20, 25, 26}
     assert len(channels) == 1  # static interference: no rescan mid-run
 
@@ -184,18 +184,49 @@ def test_unreachable_beacons_degrade_gracefully():
         shadowing=ShadowingModel(0.0),
     )
     res = run_scenario(s)
-    assert all(not rec.resolved for rec in res.steps)
-    assert all(rec.kalman is None and rec.raw is None for rec in res.steps)
+    assert not res.resolved.any()
+    assert np.isnan(res.raw).all() and np.isnan(res.kalman).all()
     with pytest.raises(NoResolvedStepsError):
         compute_metrics(res, "kalman")
 
 
 def test_step_records_carry_aggregated_rssi():
     res = run_scenario(triangle_scenario(seed=3, steps=4))
-    rec = res.steps[0]
-    assert set(rec.anchor_rssi) == {0, 1, 2}
+    row = res.rssi[0]
+    assert row.shape == (3,) and not np.isnan(row).any()
     # noise-free: aggregated reading equals the path-loss value at 15 m
-    assert rec.anchor_rssi[0] == pytest.approx(-45 - 20 * math.log10(15.0), abs=1e-9)
+    assert row[0] == pytest.approx(-45 - 20 * math.log10(15.0), abs=1e-9)
+
+
+def test_sparse_lattice_columns_are_consistent():
+    # 4x4 lattice heard through a -80 dBm receiver at exponent 3 with 3 dB
+    # shadowing: partly empty windows, steps with fewer than three beacons
+    # heard, and collinear top-3 sets
+    lattice = tuple(AnchorNode(4 * iy + ix, Point2D(10.0 * ix, 10.0 * iy))
+                    for iy in range(4) for ix in range(4))
+    res = run_scenario(Scenario(
+        roi=Rect(0, 0, 30, 30),
+        beacons=lattice,
+        trajectory=tuple(Point2D(5 + 0.5 * i, 5 + 0.35 * i) for i in range(40)),
+        seed=5,
+        path_loss=PathLossParams(exponent=3.0),
+        radio=RadioSpec(sensitivity=-80.0),
+        shadowing=ShadowingModel(3.0),
+    ))
+    for name in ("true", "raw", "averaged", "kalman"):
+        column = getattr(res, name)
+        assert column.shape == (40, 2) and column.dtype == np.float64
+        assert (np.isnan(column[:, 0]) == np.isnan(column[:, 1])).all(), name
+    assert not np.isnan(res.true).any()
+    assert res.channel.shape == (40,) and res.channel.dtype == np.int64
+    assert res.rssi.shape == (40, 16) and res.rssi.dtype == np.float64
+    assert ((res.channel >= 11) & (res.channel <= 26)).all()
+    has_kalman = ~np.isnan(res.kalman[:, 0])
+    assert not (has_kalman & ~res.resolved).any()
+    assert (res.resolved == ~np.isnan(res.averaged[:, 0])).all()
+    # the scene exercises both sides of every mask
+    assert res.resolved.any() and not res.resolved.all()
+    assert np.isnan(res.rssi).any() and not np.isnan(res.rssi).all()
 
 
 def test_scenario_validation():
@@ -229,12 +260,11 @@ def test_metrics_single_step():
 
 
 def test_metrics_hand_values():
-    from rssiloc.simulate import Metrics, RunResult, StepRecord
-
-    def rec(step, est):
-        return StepRecord(step, Point2D(0, 0), None, est, est, 11, {}, est is not None)
-
-    result = RunResult((rec(0, Point2D(3, 0)), rec(1, Point2D(0, 4))))
+    est = np.array([[3.0, 0.0], [0.0, 4.0]])
+    result = RunResult(
+        true=np.zeros((2, 2)), raw=np.full((2, 2), np.nan), averaged=est, kalman=est,
+        channel=np.array([11, 11]), rssi=np.empty((2, 0)),
+    )
     m = compute_metrics(result, "kalman")
     assert m.rmse == pytest.approx(3.5355339059327378)
     assert m.mean_error == pytest.approx(3.5)
