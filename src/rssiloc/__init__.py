@@ -75,6 +75,7 @@ from .simulate import (
     compute_metrics,
     plan_square_grid_deployment,
     run_scenario,
+    step_errors,
     verify_three_coverage,
 )
 

@@ -32,11 +32,13 @@ from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
+    FLAVORS,
     RunResult,
     Scenario,
     compute_metrics,
     plan_square_grid_deployment,
     run_scenario,
+    step_errors,
     verify_three_coverage,
 )
 from .spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
@@ -297,7 +299,7 @@ def _metrics_block(result: RunResult) -> dict:
     """Error statistics of each estimate flavor, as summary.json and
     metrics.json carry them."""
     block = {}
-    for flavor in ("raw", "averaged", "kalman"):
+    for flavor in FLAVORS:
         m = compute_metrics(result, flavor)
         block[flavor] = {
             "rmse_m": m.rmse,
@@ -459,15 +461,14 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    errors = np.column_stack([np.hypot(*(est - result.true).T)
-                              for est in (result.raw, result.averaged, result.kalman)])
+    errors = np.column_stack([step_errors(result, flavor) for flavor in FLAVORS])
     rows = [[step, *_cells(row)] for step, row in enumerate(errors.tolist())]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
     metrics = _metrics_block(result)
     _write_json(out_dir / "metrics.json", metrics)
-    for name in ("raw", "averaged", "kalman"):
-        print(f"{name:9s} rmse {metrics[name]['rmse_m']:.4f} m")
+    for flavor in FLAVORS:
+        print(f"{flavor:9s} rmse {metrics[flavor]['rmse_m']:.4f} m")
     return EXIT_OK
 
 

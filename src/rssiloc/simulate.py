@@ -45,12 +45,17 @@ __all__ = [
     "run_scenario",
     "compare_pipelines",
     "compute_metrics",
+    "step_errors",
+    "FLAVORS",
 ]
 
 # Fig.-3 monitoring defaults used by runs; standalone ChannelMonitor
 # instances take these as constructor arguments instead.
 MONITOR_WINDOW = 20
 MONITOR_FAILURE_THRESHOLD = 0.2
+
+# The estimate flavors a run records, in output order.
+FLAVORS = ("raw", "averaged", "kalman")
 
 _MAX_PLANNED_BEACONS = 1_000_000
 _MAX_LATTICE_POINTS = 4_000_000
@@ -333,13 +338,21 @@ def _estimate(beacon_x, beacon_y, beacon_ids, rssi, pl: PathLossParams):
 # metrics
 
 
+def step_errors(result: RunResult, flavor: str) -> np.ndarray:
+    """(T,) distance of each step's estimate of one flavor ('raw',
+    'averaged' or 'kalman') from the true position, NaN where the step
+    has no such estimate."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown estimate flavor {flavor!r}")
+    delta = getattr(result, flavor) - result.true
+    return np.array([math.hypot(dx, dy) for dx, dy in delta.tolist()])
+
+
 def compute_metrics(result: RunResult, flavor: str) -> Metrics:
     """Error statistics for one estimate flavor ('raw', 'averaged' or
     'kalman'); steps without that estimate are excluded and counted."""
-    if flavor not in ("raw", "averaged", "kalman"):
-        raise ValueError(f"unknown estimate flavor {flavor!r}")
-    delta = getattr(result, flavor) - result.true
-    arr = np.array([math.hypot(dx, dy) for dx, dy in delta.tolist() if dx == dx])
+    errors = step_errors(result, flavor)
+    arr = errors[~np.isnan(errors)]
     if not arr.size:
         raise NoResolvedStepsError(f"no step carries a {flavor} estimate")
     return Metrics(
@@ -348,7 +361,7 @@ def compute_metrics(result: RunResult, flavor: str) -> Metrics:
         max_error=float(arr.max()),
         error_cdf=tuple(float(e) for e in np.sort(arr)),
         resolved_steps=arr.size,
-        unresolved_steps=len(delta) - arr.size,
+        unresolved_steps=errors.size - arr.size,
     )
 
 
@@ -356,8 +369,4 @@ def compare_pipelines(s: Scenario) -> tuple[Metrics, Metrics, Metrics]:
     """Metrics for raw, averaged, and averaged+Kalman estimates from one
     shared run (paired noise draws)."""
     result = run_scenario(s)
-    return (
-        compute_metrics(result, "raw"),
-        compute_metrics(result, "averaged"),
-        compute_metrics(result, "kalman"),
-    )
+    return tuple(compute_metrics(result, flavor) for flavor in FLAVORS)

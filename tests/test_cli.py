@@ -25,6 +25,7 @@ from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
 from rssiloc.tracking import KalmanConfig
 
 DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk.json"
+WIFI = DESK.with_name("wifi_interference.json")
 
 TRIANGLE_BEACONS = [
     {"id": 0, "x_m": 0, "y_m": 0},
@@ -219,6 +220,19 @@ def test_compare_outputs(tmp_path):
     assert len(lines) == 121
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["raw"]["rmse_m"] > metrics["averaged"]["rmse_m"] > metrics["kalman"]["rmse_m"]
+
+
+def test_compare_errors_agree_with_metrics(tmp_path):
+    # compare.csv holds the per-step errors that metrics.json summarises:
+    # each column, sorted with absent steps dropped, is that flavor's CDF
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(WIFI), "--out", str(out)]) == EXIT_OK
+    header, *lines = (out / "compare.csv").read_text().splitlines()
+    columns = list(zip(*(line.split(",")[1:] for line in lines)))
+    metrics = json.loads((out / "metrics.json").read_text())
+    for flavor, column in zip(("raw", "averaged", "kalman"), columns):
+        errors = sorted(float(cell) for cell in column if cell)
+        assert errors == metrics[flavor]["error_cdf_m"], flavor
 
 
 def test_simulate_seed_sweep_rejects_empty_count(tmp_path):

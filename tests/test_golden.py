@@ -102,7 +102,7 @@ CASES = {
 GOLDEN = {
     "compare_wifi": {
         "compare.csv":
-            "272f02b237a0fd3fce86db952eff4202a840fd3c734a780e1b5d505af4ece55f",
+            "947b276138b8aea5ced4c426ed69780a46f6cfe209215faef7879256d1203318",
         "metrics.json":
             "5219321d1c9d49582542085d5e83e24bfe8dc8a0a3c9ab61774d82ddf519b8d6",
     },
