@@ -9,6 +9,7 @@ mean only.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,6 +39,10 @@ class ScanConfig:
     def __post_init__(self):
         if self.samples_per_channel < 1:
             raise ValueError("samples_per_channel must be >= 1")
+        if not 0.0 <= self.sample_interval_ms < math.inf:
+            raise ValueError(
+                f"sample_interval_ms must be finite and >= 0, got {self.sample_interval_ms}"
+            )
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,12 @@ class PathLossParams:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.ref_distance <= 0.0:
-            raise ValueError(f"ref_distance must be > 0, got {self.ref_distance}")
-        if self.exponent <= 0.0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
+        if not math.isfinite(self.rssi_at_ref):
+            raise ValueError(f"rssi_at_ref must be finite, got {self.rssi_at_ref}")
+        if not 0.0 < self.ref_distance < math.inf:
+            raise ValueError(f"ref_distance must be finite and > 0, got {self.ref_distance}")
+        if not 0.0 < self.exponent < math.inf:
+            raise ValueError(f"exponent must be finite and > 0, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,14 @@ class RadioSpec:
     max_range: float = DEFAULT_INDOOR_RANGE_M
 
     def __post_init__(self):
+        if not (math.isfinite(self.tx_power) and math.isfinite(self.sensitivity)):
+            raise ValueError(
+                f"tx_power and sensitivity must be finite, got {self.tx_power}, {self.sensitivity}"
+            )
         if self.sensitivity >= self.tx_power:
             raise ValueError("sensitivity must be below tx_power")
-        if self.max_range <= 0.0:
-            raise ValueError(f"max_range must be > 0, got {self.max_range}")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be finite and > 0, got {self.max_range}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ class ShadowingModel:
     sigma: float = 2.0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def rssi_at_distance(params: PathLossParams, d: float) -> Dbm:

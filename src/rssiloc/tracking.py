@@ -63,6 +63,9 @@ class KalmanConfig:
             raise ValueError(f"measurement_noise must be square, got shape {r.shape}")
         r.flags.writeable = False
         object.__setattr__(self, "measurement_noise", r)
+        for name in ("state_transition", "control", "process_noise", "measurement_noise"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         _check_symmetric(self.process_noise, "process_noise")
         _check_symmetric(self.measurement_noise, "measurement_noise")
         if np.linalg.eigvalsh(self.process_noise).min() < -1e-9:

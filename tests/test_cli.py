@@ -303,6 +303,7 @@ def _interferer(**fields):
     ({"roi_m": {"x_min": 30, "y_min": 0, "x_max": 0, "y_max": 30}}, "$.roi_m", "inverted"),
     ({"beacons": [{"id": -1, "x_m": 0, "y_m": 0}] + TRIANGLE_BEACONS[1:]}, "$.beacons[0]", "id"),
     ({"environment": {"interferers": 5}}, "$.environment.interferers", "list"),
+    ({"scan": {"sample_interval_ms": -5}}, "$.scan", "sample_interval_ms"),
 ])
 def test_library_rejection_exits_2_with_field_path(tmp_path, capsys, overrides, path, named):
     assert run_simulate(tmp_path, **overrides) == EXIT_INPUT

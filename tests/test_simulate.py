@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rssiloc.channel import ScanConfig
 from rssiloc.errors import CapacityError, NoResolvedStepsError
 from rssiloc.geometry import AnchorNode, Point2D, Rect
 from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel
@@ -18,6 +19,7 @@ from rssiloc.simulate import (
     verify_three_coverage,
 )
 from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
+from rssiloc.tracking import KalmanConfig
 
 TRIANGLE = (
     AnchorNode(0, Point2D(0, 0)),
@@ -246,6 +248,34 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
                  trajectory=(Point2D(5, 5),), seed=-1)  # no generator takes it
+
+
+NAN, INF = math.nan, math.inf
+
+
+# Each value the schema rejects as non-finite or negative is also rejected
+# by the library type itself.
+@pytest.mark.parametrize("build", [
+    lambda: PathLossParams(exponent=NAN),
+    lambda: PathLossParams(rssi_at_ref=NAN),
+    lambda: PathLossParams(ref_distance=INF),
+    lambda: RadioSpec(tx_power=NAN),
+    lambda: RadioSpec(sensitivity=NAN),
+    lambda: RadioSpec(max_range=NAN),
+    lambda: ShadowingModel(NAN),
+    lambda: ShadowingModel(INF),
+    lambda: ScanConfig(sample_interval_ms=-5),
+    lambda: ScanConfig(sample_interval_ms=NAN),
+    lambda: KalmanConfig(state_transition=[[1.0, NAN], [0.0, 1.0]]),
+    lambda: KalmanConfig(control=[INF, 0.0]),
+], ids=[
+    "exponent_nan", "rssi_at_ref_nan", "ref_distance_inf", "tx_power_nan",
+    "sensitivity_nan", "max_range_nan", "sigma_nan", "sigma_inf",
+    "sample_interval_negative", "sample_interval_nan", "transition_nan", "control_inf",
+])
+def test_library_types_reject_non_finite_values(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
