@@ -23,7 +23,6 @@ from .geometry import AnchorNode, Dbm, Point2D
 
 __all__ = [
     "RssiObservation",
-    "RangeObservation",
     "TrilaterationProblem",
     "PositionEstimate",
     "aggregate_rssi",
@@ -46,16 +45,6 @@ class RssiObservation:
             raise ValueError("observation needs at least one sample")
         if not all(math.isfinite(v) for v in self.samples):
             raise ValueError("observation samples must be finite")
-
-
-@dataclass(frozen=True)
-class RangeObservation:
-    anchor: AnchorNode
-    range: float
-
-    def __post_init__(self):
-        if self.range <= 0.0:
-            raise ValueError(f"range must be > 0, got {self.range}")
 
 
 @dataclass(frozen=True)
