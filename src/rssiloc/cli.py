@@ -312,15 +312,18 @@ def _metrics_block(result: RunResult) -> dict:
     return block
 
 
-def _cells(values: list[float]) -> list:
-    """Row values with NaN (an absent estimate) as None, an empty cell."""
-    return [None if math.isnan(v) else v for v in values]
+def _cells(table: np.ndarray) -> list[list]:
+    """Rows of a float table with NaN (an absent estimate) as None, which
+    the writers leave as an empty cell."""
+    cells = table.astype(object)
+    cells[np.isnan(table)] = None
+    return cells.tolist()
 
 
 def _step_rows(result: RunResult) -> list[list]:
-    positions = np.hstack([result.true, result.raw, result.averaged, result.kalman]).tolist()
+    positions = _cells(np.hstack([result.true, result.raw, result.averaged, result.kalman]))
     columns = zip(positions, result.channel.tolist(), result.resolved.tolist())
-    return [[step, *_cells(row), channel, int(resolved)]
+    return [[step, *row, channel, int(resolved)]
             for step, (row, channel, resolved) in enumerate(columns)]
 
 
@@ -461,8 +464,8 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    errors = np.column_stack([step_errors(result, flavor) for flavor in FLAVORS])
-    rows = [[step, *_cells(row)] for step, row in enumerate(errors.tolist())]
+    errors = _cells(np.column_stack([step_errors(result, flavor) for flavor in FLAVORS]))
+    rows = [[step, *row] for step, row in enumerate(errors)]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
     metrics = _metrics_block(result)
