@@ -201,9 +201,9 @@ def test_step_records_carry_aggregated_rssi():
 
 
 def test_sparse_lattice_columns_are_consistent():
-    # 4x4 lattice heard through a -80 dBm receiver at exponent 3 with 3 dB
-    # shadowing: partly empty windows, steps with fewer than three beacons
-    # heard, and collinear top-3 sets
+    # the golden LATTICE_SPARSE scene: a 4x4 lattice heard through a -80 dBm
+    # receiver at exponent 3 with 3 dB shadowing, so windows are partly empty
+    # and some raw and averaged fixes are missing
     lattice = tuple(AnchorNode(4 * iy + ix, Point2D(10.0 * ix, 10.0 * iy))
                     for iy in range(4) for ix in range(4))
     res = run_scenario(Scenario(
