@@ -227,7 +227,7 @@ def test_compare_errors_agree_with_metrics(tmp_path):
     # each column, sorted with absent steps dropped, is that flavor's CDF
     out = tmp_path / "out"
     assert main(["compare", "--scenario", str(WIFI), "--out", str(out)]) == EXIT_OK
-    header, *lines = (out / "compare.csv").read_text().splitlines()
+    lines = (out / "compare.csv").read_text().splitlines()[1:]
     columns = list(zip(*(line.split(",")[1:] for line in lines)))
     metrics = json.loads((out / "metrics.json").read_text())
     for flavor, column in zip(("raw", "averaged", "kalman"), columns):
