@@ -96,6 +96,8 @@ CASES = {
     "simulate_lattice_ties": ["simulate", "--scenario", LATTICE_TIES],
     "simulate_all_sections": ["simulate", "--scenario", ALL_SECTIONS],
     "compare_wifi": ["compare", "--scenario", WIFI],
+    "scan_wifi": ["scan", "--scenario", WIFI],
+    "scan_all_sections": ["scan", "--scenario", ALL_SECTIONS],
     "deploy_60x40": ["deploy", "--roi", "60x40", "--range-m", "25"],
 }
 
@@ -111,6 +113,14 @@ GOLDEN = {
             "11b9e899d1e3a787a4ea010099fd8ca9b3351f3f4c15d8aeda8f4a0361d08cc5",
         "coverage.json":
             "cc5faa8318f07fea87e9928f0c5146d8de21b697e4781abcf8d9d00f02c1bfda",
+    },
+    "scan_all_sections": {
+        "scan.csv":
+            "e1acd3a73a5c87234be84cc45c1d102bb6c4b1356a2589342e37a8988fc846cb",
+    },
+    "scan_wifi": {
+        "scan.csv":
+            "3e439571a893f57ebedbcadb9bbcd05dad860a5060c47ce039b5b0e27e9ff595",
     },
     "simulate_desk": {
         "steps.csv":
