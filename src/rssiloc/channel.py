@@ -5,6 +5,11 @@ quietest one, then watch the packet failure ratio on the active channel
 and trigger a rescan once it crosses the configured threshold. Variance
 is recorded alongside the mean for reporting; selection itself uses the
 mean only.
+
+A scan is array work: one (16, samples, interferers) uniform draw, laid
+out as channel by channel, sample by sample, readings through
+kernels.energy_scan over the environment's overlap table, and the
+per-channel statistics along the sample axis.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .geometry import Dbm
-from .spectrum import ZIGBEE_CHANNELS, ChannelEnvironment, ZigbeeChannel, channel_energy_sample
+from .spectrum import ZIGBEE_CHANNELS, ChannelEnvironment, ZigbeeChannel
 
 __all__ = [
     "ScanConfig",
@@ -69,14 +75,11 @@ def scan_all_channels(
 ) -> ScanReport:
     """Sample every channel `samples_per_channel` times, ascending index,
     and record mean and population variance of the energy readings."""
-    records = []
-    for index in ZIGBEE_CHANNELS:
-        ch = ZigbeeChannel(index)
-        samples = np.array(
-            [channel_energy_sample(env, ch, rng) for _ in range(cfg.samples_per_channel)]
-        )
-        records.append(ChannelRecord(ch, float(samples.mean()), float(samples.var())))
-    return ScanReport(tuple(records))
+    active = env.draw_active(rng, (len(ZIGBEE_CHANNELS), cfg.samples_per_channel))
+    readings = kernels.energy_scan(active, env.overlap[:, None, :], env.powers_mw, env.floor_mw)
+    stats = zip(ZIGBEE_CHANNELS, readings.mean(axis=1).tolist(), readings.var(axis=1).tolist())
+    return ScanReport(tuple(ChannelRecord(ZigbeeChannel(index), mean, var)
+                            for index, mean, var in stats))
 
 
 def select_channel(report: ScanReport) -> ZigbeeChannel:

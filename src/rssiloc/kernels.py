@@ -1,7 +1,7 @@
 """The numeric cores of the package, one numpy implementation each.
 
 Every per-step operation of the receive-side pipeline lives here once:
-log-distance path loss and its inverse, shadowed reading windows,
+the energy reading of a channel under interference, log-distance path loss and its inverse, shadowed reading windows,
 NaN-aware dB aggregation, strongest-k ordering, the linearized
 lateration solve, and the range-EKF predict/correct step (Jacobian and
 gain included). Beacon-coverage counting over dense sample lattices
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "path_loss_rssi", "path_loss_range", "shadowed_readings", "db_mean", "top_k",
+    "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "db_mean", "top_k",
     "lateration_solve", "ekf_predict", "range_jacobian", "ekf_gain", "ekf_correct",
     "ekf_step", "coverage_counts",
 ]
@@ -30,6 +30,27 @@ __all__ = [
 _COVERAGE_CHUNK = 1 << 16
 _COVERAGE_ELEMENTS = 1 << 24
 _ANCHOR_EPS = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# channel energy
+
+
+def energy_scan(active, overlap, powers_mw, floor_mw):
+    """Energy readings in dBm: the floor plus every interferer that is
+    active and overlaps, summed in milliwatts. `active` is (..., n) bool,
+    `overlap` a bool mask broadcasting against it, `powers_mw` (n,).
+
+    Terms are added one interferer at a time in interferer order; an
+    inactive one adds 0.0, which leaves the positive sum unchanged, so
+    each reading carries the bits of the scalar left-to-right sum."""
+    hits = active & overlap
+    total = np.full(hits.shape[:-1], floor_mw)
+    for j in range(hits.shape[-1]):
+        total += np.where(hits[..., j], powers_mw[j], 0.0)
+    # math.log10, not np.log10: the two differ in the last bit on some inputs
+    db = np.fromiter(map(math.log10, total.ravel().tolist()), float, total.size)
+    return 10.0 * db.reshape(total.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,25 @@ spectra do not overlap.
 
 Interferers are modeled as independent on/off sources: during any one
 energy sample or packet, each is active with probability equal to its
-duty cycle. Active overlapping interferers add power in linear
-milliwatts on top of the noise floor.
+duty cycle, decided by one uniform draw per interferer. Active
+overlapping interferers add power in linear milliwatts on top of the
+noise floor.
+
+A ChannelEnvironment holds its interference landscape as arrays, built
+once: the 16 x n table of which interferer overlaps which ZigBee
+channel, the interferers' powers in milliwatts and their duty cycles.
+Energy readings and packet outcomes are array lookups into that table
+(kernels.energy_scan sums the milliwatts), so a whole scan is one draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dbm, dbm_to_milliwatts, milliwatts_to_dbm
+from . import kernels
+from .geometry import Dbm, dbm_to_milliwatts
 
 __all__ = [
     "ZIGBEE_BANDWIDTH_MHZ",
@@ -28,8 +36,6 @@ __all__ = [
     "WifiChannel",
     "InterfererProfile",
     "ChannelEnvironment",
-    "zigbee_center_mhz",
-    "wifi_center_mhz",
     "channels_overlap",
     "channel_energy_sample",
     "packet_success",
@@ -97,24 +103,52 @@ class InterfererProfile:
         _check_power(self.rx_power, "rx_power")
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class ChannelEnvironment:
-    """Interference landscape: WiFi interferers over a thermal noise floor."""
+    """Interference landscape: WiFi interferers over a thermal noise floor.
+
+    The remaining fields are derived from these two and take no part in
+    equality or hashing:
+
+    overlap : (16, n) bool, row c - 11 marks the interferers whose band
+        intersects ZigBee channel c
+    powers_mw : (n,) interferer powers in milliwatts
+    duty_cycles : (n,) interferer duty cycles
+    floor_mw : the noise floor in milliwatts
+    """
 
     interferers: tuple[InterfererProfile, ...] = ()
     noise_floor: Dbm = -100.0
+    overlap: np.ndarray = field(init=False, repr=False, compare=False)
+    powers_mw: np.ndarray = field(init=False, repr=False, compare=False)
+    duty_cycles: np.ndarray = field(init=False, repr=False, compare=False)
+    floor_mw: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "interferers", tuple(self.interferers))
+        interferers = tuple(self.interferers)
+        object.__setattr__(self, "interferers", interferers)
         _check_power(self.noise_floor, "noise_floor")
+        overlap = [[channels_overlap(ZigbeeChannel(z), i.wifi_channel) for i in interferers]
+                   for z in ZIGBEE_CHANNELS]
+        object.__setattr__(self, "overlap", _frozen(overlap, bool).reshape(
+            len(ZIGBEE_CHANNELS), len(interferers)))
+        # scalar conversions: np.power need not match them bit for bit
+        object.__setattr__(self, "powers_mw", _frozen(
+            [dbm_to_milliwatts(i.rx_power) for i in interferers], float))
+        object.__setattr__(self, "duty_cycles", _frozen([i.duty_cycle for i in interferers], float))
+        object.__setattr__(self, "floor_mw", dbm_to_milliwatts(self.noise_floor))
 
-
-def zigbee_center_mhz(c: ZigbeeChannel) -> float:
-    return c.center_mhz
-
-
-def wifi_center_mhz(w: WifiChannel) -> float:
-    return w.center_mhz
+    def draw_active(self, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+        """Which interferers are on, shape + (n,): one uniform per interferer
+        and draw (whatever its duty cycle), so every reading or packet
+        consumes the generator alike."""
+        return rng.random(shape + (len(self.interferers),)) < self.duty_cycles
 
 
 def channels_overlap(z: ZigbeeChannel, w: WifiChannel) -> bool:
@@ -122,12 +156,8 @@ def channels_overlap(z: ZigbeeChannel, w: WifiChannel) -> bool:
     return abs(z.center_mhz - w.center_mhz) < _OVERLAP_THRESHOLD_MHZ
 
 
-def _active_mask(env: ChannelEnvironment, rng: np.random.Generator) -> np.ndarray:
-    # One uniform per interferer (regardless of duty cycle), so the stream
-    # consumption per sample/packet is fixed and runs stay reproducible.
-    draws = rng.random(len(env.interferers))
-    duties = np.array([i.duty_cycle for i in env.interferers])
-    return draws < duties
+def _row(z: ZigbeeChannel) -> int:
+    return z.index - ZIGBEE_CHANNELS[0]
 
 
 def channel_energy_sample(
@@ -137,12 +167,8 @@ def channel_energy_sample(
 
     Powers add in linear milliwatts; the result is converted back to dBm.
     """
-    active = _active_mask(env, rng)
-    total_mw = dbm_to_milliwatts(env.noise_floor)
-    for interferer, is_active in zip(env.interferers, active):
-        if is_active and channels_overlap(z, interferer.wifi_channel):
-            total_mw += dbm_to_milliwatts(interferer.rx_power)
-    return milliwatts_to_dbm(total_mw)
+    return float(kernels.energy_scan(env.draw_active(rng), env.overlap[_row(z)],
+                                     env.powers_mw, env.floor_mw))
 
 
 def packet_success(
@@ -150,8 +176,4 @@ def packet_success(
 ) -> bool:
     """Whether a packet on channel z survives: it fails iff any overlapping
     interferer is active during the transmission."""
-    active = _active_mask(env, rng)
-    for interferer, is_active in zip(env.interferers, active):
-        if is_active and channels_overlap(z, interferer.wifi_channel):
-            return False
-    return True
+    return not (env.draw_active(rng) & env.overlap[_row(z)]).any()

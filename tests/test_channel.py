@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rssiloc.channel import (
     ChannelMonitor,
@@ -7,13 +8,16 @@ from rssiloc.channel import (
     scan_all_channels,
     select_channel,
 )
+from rssiloc.geometry import dbm_to_milliwatts, milliwatts_to_dbm
 from rssiloc.spectrum import (
     ZIGBEE_CHANNELS,
     ChannelEnvironment,
     InterfererProfile,
     WifiChannel,
     ZigbeeChannel,
+    channel_energy_sample,
     channels_overlap,
+    packet_success,
 )
 
 WIFI_TRIO = ChannelEnvironment(
@@ -47,6 +51,59 @@ def test_scan_wifi_trio_partition():
             assert rec.mean_energy == -100.0
         else:
             assert rec.mean_energy == pytest.approx(-70.0, abs=0.01)
+
+
+def oracle_active(env, rng):
+    return rng.random(len(env.interferers)) < np.array([i.duty_cycle for i in env.interferers])
+
+
+def oracle_reading(env, ch, rng):
+    """One energy reading, summed interferer by interferer in scalars."""
+    total = dbm_to_milliwatts(env.noise_floor)
+    for interferer, on in zip(env.interferers, oracle_active(env, rng)):
+        if on and channels_overlap(ch, interferer.wifi_channel):
+            total += dbm_to_milliwatts(interferer.rx_power)
+    return milliwatts_to_dbm(total)
+
+
+def oracle_packet(env, ch, rng):
+    return not any(on and channels_overlap(ch, i.wifi_channel)
+                   for i, on in zip(env.interferers, oracle_active(env, rng)))
+
+
+def oracle_scan(env, cfg, rng):
+    """The per-sample scan: channels ascending, one draw per reading."""
+    stats = []
+    for index in ZIGBEE_CHANNELS:
+        ch = ZigbeeChannel(index)
+        samples = np.array([oracle_reading(env, ch, rng) for _ in range(cfg.samples_per_channel)])
+        stats.append((float(samples.mean()), float(samples.var())))
+    return stats
+
+
+interferer_profiles = st.builds(
+    InterfererProfile,
+    st.builds(WifiChannel, st.integers(1, 13)),
+    st.floats(-150.0, 30.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(interferer_profiles, max_size=10), st.floats(-150.0, 30.0),
+       st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from(ZIGBEE_CHANNELS))
+def test_scan_matches_per_sample_oracle(interferers, floor, samples, seed, index):
+    # bit-equal statistics and generator state: the array scan consumes the
+    # stream and rounds exactly as one reading at a time does
+    env = ChannelEnvironment(tuple(interferers), floor)
+    cfg = ScanConfig(samples_per_channel=samples)
+    ch = ZigbeeChannel(index)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    report = scan_all_channels(env, cfg, rng)
+    assert [(r.mean_energy, r.variance) for r in report.records] == oracle_scan(env, cfg, ref)
+    assert channel_energy_sample(env, ch, rng) == oracle_reading(env, ch, ref)
+    assert packet_success(env, ch, rng) == oracle_packet(env, ch, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_scan_determinism():

@@ -12,15 +12,13 @@ from rssiloc.spectrum import (
     channel_energy_sample,
     channels_overlap,
     packet_success,
-    wifi_center_mhz,
-    zigbee_center_mhz,
 )
 
 
 def test_channel_centers():
-    assert zigbee_center_mhz(ZigbeeChannel(11)) == 2405.0
-    assert zigbee_center_mhz(ZigbeeChannel(20)) == 2450.0
-    assert wifi_center_mhz(WifiChannel(6)) == 2437.0
+    assert ZigbeeChannel(11).center_mhz == 2405.0
+    assert ZigbeeChannel(20).center_mhz == 2450.0
+    assert WifiChannel(6).center_mhz == 2437.0
 
 
 def test_channel_index_validation():
@@ -49,6 +47,18 @@ def test_overlap_partition_against_nonoverlapping_wifi_trio():
     assert overlap_sets[11] == {21, 22, 23, 24}
     clean = set(ZIGBEE_CHANNELS) - overlap_sets[1] - overlap_sets[6] - overlap_sets[11]
     assert clean == {15, 20, 25, 26}
+
+
+def test_environment_tables_stay_out_of_equality_and_repr():
+    def make():
+        return ChannelEnvironment((InterfererProfile(WifiChannel(1), -70.0, 0.5),), -95.0)
+
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b)
+    assert "overlap" not in repr(a)
+    assert a.overlap.shape == (16, 1) and not a.overlap.flags.writeable
+    assert {z for z in ZIGBEE_CHANNELS if a.overlap[z - 11, 0]} == {11, 12, 13, 14}
+    assert ChannelEnvironment().overlap.shape == (16, 0)
 
 
 def test_energy_empty_environment_is_floor():
