@@ -57,11 +57,14 @@ class ScenarioFileError(Exception):
 # ---------------------------------------------------------------------------
 # scenario file parsing
 
-# Caps on the sizes a scenario file sets, checked before anything is
-# allocated: the static shorthand's step count, and the samples drawn per
-# scan channel or per aggregation window.
+# Caps on the sizes the input sets, checked before anything is allocated:
+# the static shorthand's step count, the samples drawn per scan channel or
+# per aggregation window, the interferer count (a scan draws 16 x samples
+# x interferers uniforms at once) and the seeds of a `--seeds` sweep.
 MAX_STEPS = 100_000
 MAX_SAMPLES = 1_000
+MAX_INTERFERERS = 256
+MAX_SEEDS = 100_000
 
 
 def _build(cls, path, **kw):
@@ -128,10 +131,12 @@ def _matrix(*shape):
     return lambda obj, path: np.array(nested(obj, path, shape))
 
 
-def _list_of(parse):
+def _list_of(parse, cap=None):
     def parse_list(obj, path) -> tuple:
         if not isinstance(obj, list):
             raise ScenarioFileError(f"{path}: expected a list")
+        if cap is not None and len(obj) > cap:
+            raise ScenarioFileError(f"{path}: must hold at most {cap} entries, got {len(obj)}")
         return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(obj))
     return parse_list
 
@@ -209,7 +214,7 @@ _FIELDS = {
     ShadowingModel: (("sigma_db", "sigma", _number),),
     ChannelEnvironment: (
         ("noise_floor_dbm", "noise_floor", _number),
-        ("interferers", "interferers", _list_of(_record(InterfererProfile))),
+        ("interferers", "interferers", _list_of(_record(InterfererProfile), MAX_INTERFERERS)),
     ),
     InterfererProfile: (
         ("wifi_channel", "wifi_channel", _wifi_channel),
@@ -350,12 +355,19 @@ def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -
 
 
 def _coverage_precheck(s: Scenario) -> list[Point2D]:
-    """Trajectory points not within planning range of >= 3 beacons."""
+    """Trajectory points not within reach of >= 3 beacons. A beacon's reach
+    is the lower of the radio's planning range and the distance at which
+    the path-loss mean falls to the receiver sensitivity."""
+    pl = s.path_loss
+    with np.errstate(over="ignore"):  # a reach beyond the float range is inf
+        heard = kernels.path_loss_range(np.float64(s.radio.sensitivity), pl.rssi_at_ref,
+                                        pl.ref_distance, pl.exponent)
+    reach = min(s.radio.max_range, float(heard))
     px = np.array([p.x for p in s.trajectory])
     py = np.array([p.y for p in s.trajectory])
     bx = np.array([b.position.x for b in s.beacons])
     by = np.array([b.position.y for b in s.beacons])
-    counts = kernels.coverage_counts(px, py, bx, by, s.radio.max_range, 3)
+    counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
     bad = np.flatnonzero(counts < 3)
     seen = set()
     uncovered = []
@@ -381,8 +393,8 @@ def _report_uncovered(uncovered: list[Point2D], what: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if args.seeds is not None and args.seeds < 1:
-        raise ScenarioFileError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seeds is not None and not 1 <= args.seeds <= MAX_SEEDS:
+        raise ScenarioFileError(f"--seeds must be in [1, {MAX_SEEDS}], got {args.seeds}")
     scenario = load_scenario(Path(args.scenario), args.seed)
     uncovered = _coverage_precheck(scenario)
     if uncovered:

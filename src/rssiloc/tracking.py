@@ -84,6 +84,8 @@ class KalmanState:
     def __post_init__(self):
         object.__setattr__(self, "position", _frozen_array(self.position, (2,)))
         object.__setattr__(self, "covariance", _frozen_array(self.covariance, (2, 2)))
+        if np.isnan(self.position).any():
+            raise ValueError("position must not be NaN")
         _check_symmetric(self.covariance, "covariance")
         if np.linalg.eigvalsh(self.covariance).min() < -1e-9:
             raise ValueError("covariance must be (numerically) positive semidefinite")
@@ -101,7 +103,9 @@ class RangeMeasurement:
         object.__setattr__(self, "ranges", _frozen_array(self.ranges, (len(self.anchors),)))
         if len(self.anchors) != 3:
             raise ValueError(f"measurement takes exactly 3 anchors, got {len(self.anchors)}")
-        if np.any(self.ranges <= 0.0):
+        # NaN fails the comparison; an infinite range passes, and the update
+        # reports the divergence it causes
+        if not np.all(self.ranges > 0.0):
             raise ValueError("ranges must be > 0")
 
     def anchor_xy(self) -> np.ndarray:

@@ -128,6 +128,8 @@ def surrogate_sweep():
             for (kx, ky), (tx, ty) in zip(result.kalman[-50:].tolist(), result.true[-50:].tolist())
         ]
         rows.append({
+            "resolved": bool(result.resolved.all()),
+            "kalman_finite": bool(np.isfinite(result.kalman).all()),
             "tail_rmse": float(np.sqrt(np.mean(np.square(tail)))),
             "raw": compute_metrics(result, "raw").rmse,
             "averaged": compute_metrics(result, "averaged").rmse,
@@ -321,6 +323,9 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 def test_run_records_are_complete(surrogate_sweep):
-    # companion sanity for the sweep: every surrogate step resolved
+    # companion sanity for the sweep: every surrogate step resolved and
+    # carries a finite filtered estimate
     rows, _ = surrogate_sweep
     assert len(rows) == 100
+    assert all(r["resolved"] for r in rows)
+    assert all(r["kalman_finite"] for r in rows)

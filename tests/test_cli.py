@@ -322,6 +322,27 @@ def test_sizes_over_their_cap_exit_2(tmp_path, capsys, overrides):
     assert "must be in [1, " in capsys.readouterr().err
 
 
+def test_interferer_count_over_cap_exits_2(tmp_path, capsys):
+    # the list may be empty, so its cap reads unlike the counts above
+    interferer = {"wifi_channel": 6, "rx_power_dbm": -70.0, "duty_cycle": 0.5}
+    env = {"interferers": [interferer] * cli.MAX_INTERFERERS}
+    assert run_simulate(tmp_path, environment=env) == EXIT_OK
+    env["interferers"].append(interferer)
+    assert run_simulate(tmp_path, environment=env) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: $.environment.interferers: must hold at most {cli.MAX_INTERFERERS} entries")
+
+
+@pytest.mark.parametrize("count", [cli.MAX_SEEDS + 1, 10**18])
+def test_simulate_seed_sweep_rejects_count_over_cap(tmp_path, capsys, count):
+    scn = write_scenario(tmp_path / "s.json")
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                 "--seeds", str(count)]) == EXIT_INPUT
+    assert f"--seeds must be in [1, {cli.MAX_SEEDS}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _desk(tmp_path, **overrides) -> str:
     doc = json.loads(DESK.read_text())
     doc.update(overrides)
@@ -351,6 +372,17 @@ DOMAIN_FAILURES = {
     "denormal_grid_step": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "25",
                                        "--grid-step", "5e-324"],
 }
+
+
+def test_precheck_uses_the_sensitivity_reach(tmp_path, capsys):
+    # at -50 dBm the mean reading is heard within 10 ** (5 / 20) = 1.8 m of a
+    # beacon, far inside the 60.96 m planning range: no step can resolve, so
+    # the run stops before it writes anything
+    out = tmp_path / "o"
+    scn = _desk(tmp_path, radio={"sensitivity_dbm": -50})
+    assert main(["simulate", "--scenario", scn, "--out", str(out)]) == EXIT_DOMAIN
+    assert "trajectory coverage precheck failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(DOMAIN_FAILURES))

@@ -224,6 +224,17 @@ def test_update_raises_on_divergence():
         update(state, meas, KalmanConfig())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: KalmanState(np.array([np.nan, 1.0]), np.eye(2)),
+    lambda: KalmanState(np.array([1.0, np.nan]), np.eye(2)),
+    lambda: RangeMeasurement(ANCHORS, np.array([np.nan, 6.0, 7.0])),
+    lambda: RangeMeasurement(ANCHORS, np.array([5.0, 6.0, np.nan])),
+], ids=["state_x", "state_y", "range_first", "range_last"])
+def test_nan_is_rejected(build):
+    with pytest.raises(ValueError, match="NaN|> 0"):
+        build()
+
+
 def test_measurement_validation():
     with pytest.raises(ValueError):
         RangeMeasurement(ANCHORS, np.array([1.0, -2.0, 3.0]))
