@@ -1,11 +1,11 @@
 """The numeric cores of the package, one numpy implementation each.
 
 Every per-step operation of the receive-side pipeline lives here once:
-the energy reading of a channel under interference, log-distance path loss and its inverse, shadowed reading windows,
-NaN-aware dB aggregation, strongest-k ordering, the linearized
-lateration solve, and the range-EKF predict/correct step (Jacobian and
-gain included). Beacon-coverage counting over dense sample lattices
-lives here too.
+channel energy readings under interference, log-distance path loss and
+its inverse, shadowed reading windows, NaN-aware dB aggregation,
+strongest-k ordering, the linearized lateration solve, and the range-EKF
+predict/correct step (Jacobian and gain included). Beacon-coverage
+counting over dense sample lattices lives here too.
 
 Kernels take plain floats and numpy arrays, trust their inputs and
 return status flags instead of raising. The public functions in

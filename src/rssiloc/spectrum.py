@@ -176,4 +176,4 @@ def packet_success(
 ) -> bool:
     """Whether a packet on channel z survives: it fails iff any overlapping
     interferer is active during the transmission."""
-    return not (env.draw_active(rng) & env.overlap[_row(z)]).any()
+    return not np.count_nonzero(env.draw_active(rng) & env.overlap[_row(z)])
