@@ -113,8 +113,8 @@ def _frozen(values, dtype) -> np.ndarray:
 class ChannelEnvironment:
     """Interference landscape: WiFi interferers over a thermal noise floor.
 
-    The remaining fields are derived from these two and take no part in
-    equality or hashing:
+    `interferers` and `noise_floor` are the inputs. The other fields are
+    derived from them once and take no part in equality, hashing or repr:
 
     overlap : (16, n) bool, row c - 11 marks the interferers whose band
         intersects ZigBee channel c
