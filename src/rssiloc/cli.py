@@ -60,11 +60,15 @@ class ScenarioFileError(Exception):
 # Caps on the sizes the input sets, checked before anything is allocated:
 # the static shorthand's step count, the samples drawn per scan channel or
 # per aggregation window, the interferer count (a scan draws 16 x samples
-# x interferers uniforms at once) and the seeds of a `--seeds` sweep.
+# x interferers uniforms at once), the seeds of a `--seeds` sweep, the
+# beacon count, and trajectory steps x beacons (a run holds one float of
+# aggregated RSSI per step and beacon; 10**7 of them are 80 MB).
 MAX_STEPS = 100_000
 MAX_SAMPLES = 1_000
 MAX_INTERFERERS = 256
 MAX_SEEDS = 100_000
+MAX_BEACONS = 1_024
+MAX_RSSI_CELLS = 10_000_000
 
 
 def _build(cls, path, **kw):
@@ -185,7 +189,7 @@ _FIELDS = {
     Scenario: (
         ("seed", "seed", _integer),
         ("roi_m", "roi", _record(Rect)),
-        ("beacons", "beacons", _list_of(_beacon)),
+        ("beacons", "beacons", _list_of(_beacon, MAX_BEACONS)),
         ("trajectory_m", "trajectory", _trajectory),
         ("path_loss", "path_loss", _record(PathLossParams)),
         ("radio", "radio", _record(RadioSpec)),
@@ -236,7 +240,13 @@ _FIELDS = {
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, validating strictly."""
-    return _record(Scenario)(doc, "$")
+    s = _record(Scenario)(doc, "$")
+    cells = len(s.trajectory) * len(s.beacons)
+    if cells > MAX_RSSI_CELLS:
+        raise ScenarioFileError(
+            f"$.beacons: {len(s.beacons)} beacons over {len(s.trajectory)} trajectory "
+            f"steps make {cells} RSSI readings (limit {MAX_RSSI_CELLS})")
+    return s
 
 
 def load_scenario(path: Path, seed_override: int | None = None) -> Scenario:

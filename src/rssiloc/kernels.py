@@ -5,7 +5,10 @@ channel energy readings under interference, log-distance path loss and
 its inverse, shadowed reading windows, NaN-aware dB aggregation,
 strongest-k ordering, the linearized lateration solve, and the range-EKF
 predict/correct step (Jacobian and gain included). Beacon-coverage
-counting over dense sample lattices lives here too.
+counting lives here too, in two shapes: over a list of sample points
+(coverage_counts) and over a rectangular lattice, where each beacon is
+stamped only over the bounding box of its disc
+(lattice_coverage_counts).
 
 Kernels take plain floats and numpy arrays, trust their inputs and
 return status flags instead of raising. The public functions in
@@ -24,7 +27,7 @@ import numpy as np
 __all__ = [
     "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "db_mean", "top_k",
     "lateration_solve", "ekf_predict", "range_jacobian", "ekf_gain", "ekf_correct",
-    "ekf_step", "coverage_counts",
+    "ekf_step", "coverage_counts", "lattice_coverage_counts",
 ]
 
 _COVERAGE_CHUNK = 1 << 16
@@ -222,3 +225,42 @@ def coverage_counts(px, py, bx, by, radius, cap):
         dy = py[start:stop, None] - by[None, :]
         counts[start:stop] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)
     return np.minimum(counts, cap)
+
+
+def lattice_coverage_counts(xs, ys, bx, by, radius, cap):
+    """Per point of the lattice spanned by the ascending axes `xs` and
+    `ys`, the number of beacons within `radius` (closed ball), saturated at
+    `cap`. Returns (len(ys), len(xs)) int64 counts, so `.ravel()` runs in
+    the order of `np.meshgrid(xs, ys)` raveled.
+
+    Each beacon adds its disc over its bounding box only, testing
+    `ay + ax <= r2` on the squared axis offsets: the float expression
+    coverage_counts evaluates, so every count keeps its bits. The box
+    drops no point that test would count: a point outside it has ax > r2
+    or ay > r2, and fl(ax + ay) >= max(ax, ay) for these non-negative
+    terms. Each span is contiguous: the axes ascend and fl(d * d) is
+    monotone in |d|, so ax and ay fall and then rise along their axis.
+    For the same reason the least of them sits next to the beacon's own
+    coordinate, which picks out the beacons with a non-empty box before
+    the per-beacon loop."""
+    counts = np.zeros((ys.shape[0], xs.shape[0]), dtype=np.int64)
+    r2 = radius * radius
+    boxed = (_least_square(xs, bx) <= r2) & (_least_square(ys, by) <= r2)
+    for x, y in zip(bx[boxed].tolist(), by[boxed].tolist()):
+        ax = (xs - x) * (xs - x)
+        ay = (ys - y) * (ys - y)
+        cols = np.flatnonzero(ax <= r2)
+        rows = np.flatnonzero(ay <= r2)
+        i0, i1 = cols[0], cols[-1] + 1
+        j0, j1 = rows[0], rows[-1] + 1
+        counts[j0:j1, i0:i1] += ay[j0:j1, None] + ax[None, i0:i1] <= r2
+    return np.minimum(counts, cap)
+
+
+def _least_square(axis, v):
+    """Per value of v, the least (axis - v) * (axis - v) over the ascending
+    axis, taken from the axis points on either side of v."""
+    k = np.searchsorted(axis, v)
+    below = axis[np.maximum(k - 1, 0)]
+    above = axis[np.minimum(k, axis.shape[0] - 1)]
+    return np.minimum((below - v) * (below - v), (above - v) * (above - v))

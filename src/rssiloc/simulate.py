@@ -200,9 +200,12 @@ def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
 def verify_three_coverage(
     plan: DeploymentPlan, roi: Rect, radio_range: float, grid_step: float = 0.25
 ) -> tuple[bool, list[Point2D]]:
-    """Brute-force check that every roi lattice point (grid_step pitch,
-    boundaries included) lies within radio_range of at least three
-    beacons. Returns the verdict and any uncovered sample points."""
+    """Check that every roi lattice point (grid_step pitch, boundaries
+    included) lies within radio_range of at least three beacons. Each
+    beacon is tested over the lattice points in the bounding box of its
+    disc, with the same closed-ball predicate as a test of every point.
+    Returns the verdict and the uncovered sample points, row by row
+    (y, then x, ascending)."""
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     # bound the lattice in floats before any count becomes an int or array;
@@ -213,7 +216,8 @@ def verify_three_coverage(
             f"verification lattice would hold about {points:.3g} points "
             f"(limit {_MAX_LATTICE_POINTS})"
         )
-    # the distance tests grow with points x beacons, which bounds the time
+    # no beacon's box holds more than every point, so points x beacons
+    # bounds the distance tests and the time
     pairs = points * len(plan.positions)
     if pairs > _MAX_COVERAGE_PAIRS:
         raise CapacityError(
@@ -222,14 +226,11 @@ def verify_three_coverage(
         )
     xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
-    gx, gy = np.meshgrid(xs, ys)
-    px = gx.ravel()
-    py = gy.ravel()
     bx = np.array([p.x for p in plan.positions])
     by = np.array([p.y for p in plan.positions])
-    counts = kernels.coverage_counts(px, py, bx, by, float(radio_range), 3)
-    uncovered_idx = np.flatnonzero(counts < 3)
-    uncovered = [Point2D(float(px[i]), float(py[i])) for i in uncovered_idx]
+    counts = kernels.lattice_coverage_counts(xs, ys, bx, by, float(radio_range), 3)
+    rows, cols = np.nonzero(counts < 3)
+    uncovered = [Point2D(x, y) for x, y in zip(xs[cols].tolist(), ys[rows].tolist())]
     return len(uncovered) == 0, uncovered
 
 

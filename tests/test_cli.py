@@ -333,6 +333,40 @@ def test_interferer_count_over_cap_exits_2(tmp_path, capsys):
         f"error: $.environment.interferers: must hold at most {cli.MAX_INTERFERERS} entries")
 
 
+def _beacon_grid(n):
+    return [{"id": i, "x_m": float(i % 32), "y_m": float(i // 32)} for i in range(n)]
+
+
+def test_beacon_count_over_cap_exits_2(tmp_path, capsys):
+    beacons = _beacon_grid(cli.MAX_BEACONS)
+    roi = {"x_min": 0, "y_min": 0, "x_max": 40, "y_max": 40}
+    trajectory = {"static": [12.5, 9.5], "steps": 2}
+    assert run_simulate(tmp_path, roi_m=roi, beacons=beacons, trajectory_m=trajectory) == EXIT_OK
+    beacons.append({"id": cli.MAX_BEACONS, "x_m": 35.0, "y_m": 35.0})
+    assert run_simulate(tmp_path, roi_m=roi, beacons=beacons, trajectory_m=trajectory) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: $.beacons: must hold at most {cli.MAX_BEACONS} entries")
+
+
+def test_steps_times_beacons_over_cap_exits_2(tmp_path, capsys):
+    # each count is within its own cap; their product is one over
+    n_beacons = cli.MAX_RSSI_CELLS // cli.MAX_STEPS
+    doc = json.loads(write_scenario(
+        tmp_path / "s.json", roi_m={"x_min": 0, "y_min": 0, "x_max": 40, "y_max": 40},
+        beacons=_beacon_grid(n_beacons),
+        trajectory_m={"static": [12.5, 9.5], "steps": cli.MAX_STEPS}).read_text())
+    assert len(parse_scenario(doc).beacons) * cli.MAX_STEPS == cli.MAX_RSSI_CELLS
+    doc["beacons"] = _beacon_grid(n_beacons + 1)
+    with pytest.raises(cli.ScenarioFileError, match=r"^\$\.beacons: "):
+        parse_scenario(doc)
+    scn = tmp_path / "over.json"
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: $.beacons: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [cli.MAX_SEEDS + 1, 10**18])
 def test_simulate_seed_sweep_rejects_count_over_cap(tmp_path, capsys, count):
     scn = write_scenario(tmp_path / "s.json")

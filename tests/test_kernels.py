@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rssiloc import kernels
+from rssiloc.simulate import _lattice_1d
 from rssiloc.tracking import KalmanConfig, KalmanState, RangeMeasurement, filter_step
 from rssiloc.geometry import AnchorNode, Point2D
 
@@ -48,6 +49,54 @@ def test_coverage_counts_closed_ball():
     by = np.array([0.0, 0.0, 3.0])
     # all three beacons at exactly distance 3
     assert kernels.coverage_counts(px, py, bx, by, 3.0, 3)[0] == 3
+
+
+@st.composite
+def lattice_axis(draw):
+    """An ascending axis: a verifier lattice (its ragged last point and
+    single-point spans included) or sorted distinct floats."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-50, 50))
+        step = draw(st.floats(0.05, 5))
+        span = draw(st.one_of(st.just(0.0), st.floats(0, 40 * step)))
+        return _lattice_1d(lo, lo + span, step)
+    values = draw(st.lists(st.floats(-50, 50), min_size=1, max_size=40, unique=True))
+    return np.array(sorted(values))
+
+
+@st.composite
+def lattice_scene(draw):
+    xs, ys = draw(lattice_axis()), draw(lattice_axis())
+    span = max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
+    # radii below the axis spacing as often as radii past the lattice span
+    scale = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    radius = draw(st.one_of(st.just(0.0), st.floats(0, 3 * scale * span), st.just(1e200)))
+    beacons = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.booleans()):  # anywhere, the lattice's surroundings included
+            beacons.append((draw(st.floats(xs[0] - 2 * span, xs[-1] + 2 * span)),
+                            draw(st.floats(ys[0] - 2 * span, ys[-1] + 2 * span))))
+            continue
+        # radius away from a lattice point along one axis, on the closed ball
+        x = xs[draw(st.integers(0, len(xs) - 1))]
+        y = ys[draw(st.integers(0, len(ys) - 1))]
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        beacons.append((x + sign * radius, y) if draw(st.booleans()) else (x, y + sign * radius))
+    bx = np.array([b[0] for b in beacons])
+    by = np.array([b[1] for b in beacons])
+    cap = draw(st.one_of(st.integers(1, 5), st.integers(6, 10**9)))
+    return xs, ys, bx, by, radius, cap
+
+
+@given(lattice_scene())
+def test_lattice_coverage_counts_match_point_list(scene):
+    xs, ys, bx, by, radius, cap = scene
+    gx, gy = np.meshgrid(xs, ys)
+    with np.errstate(over="ignore"):  # a 1e200 radius squares to inf
+        counts = kernels.lattice_coverage_counts(xs, ys, bx, by, radius, cap)
+        expected = kernels.coverage_counts(gx.ravel(), gy.ravel(), bx, by, radius, cap)
+    assert counts.shape == (len(ys), len(xs)) and counts.dtype == np.int64
+    assert np.array_equal(counts.ravel(), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rssiloc import kernels
 from rssiloc.channel import ScanConfig
 from rssiloc.errors import CapacityError, NoResolvedStepsError
 from rssiloc.geometry import AnchorNode, Point2D, Rect
@@ -12,6 +13,7 @@ from rssiloc.simulate import (
     DeploymentPlan,
     RunResult,
     Scenario,
+    _lattice_1d,
     compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,
@@ -131,6 +133,33 @@ def test_triangle_over_bounding_box_needs_far_corner_reach():
     assert any(p.x == 30.0 and p.y == 30.0 for p in uncovered35)
     ok43, uncovered43 = verify_three_coverage(plan, box, 43.0)
     assert ok43 and uncovered43 == []
+
+
+def meshgrid_uncovered(plan, roi, radio_range, grid_step=0.25):
+    """Reference uncovered list: the point-list kernel over the raveled
+    meshgrid of the verifier's lattice, in that order."""
+    xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
+    ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
+    gx, gy = np.meshgrid(xs, ys)
+    px, py = gx.ravel(), gy.ravel()
+    bx = np.array([p.x for p in plan.positions])
+    by = np.array([p.y for p in plan.positions])
+    counts = kernels.coverage_counts(px, py, bx, by, float(radio_range), 3)
+    return [Point2D(float(px[i]), float(py[i])) for i in np.flatnonzero(counts < 3)]
+
+
+def test_uncovered_points_keep_the_meshgrid_order():
+    # five scattered beacons over a ragged 20 x 13.1 m floor leave most of
+    # it uncovered; coverage.json writes the first 100, so order is output
+    plan = DeploymentPlan((Point2D(2, 3), Point2D(9.5, 1), Point2D(5, 8),
+                           Point2D(25, 6.5), Point2D(14, 12)), 0.0, 0.0)
+    roi = Rect(-1, 0.3, 19, 13.4)
+    for radio_range in (7.0, 9.7, 12.0):
+        ok, uncovered = verify_three_coverage(plan, roi, radio_range)
+        expected = meshgrid_uncovered(plan, roi, radio_range)
+        assert not ok and 100 < len(uncovered) < 81 * 54  # 81 x 54 points
+        assert uncovered == expected
+        assert all(type(p.x) is float and type(p.y) is float for p in uncovered)
 
 
 def test_lattice_includes_ragged_boundary():
