@@ -95,6 +95,8 @@ CASES = {
     "simulate_lattice_sparse": ["simulate", "--scenario", LATTICE_SPARSE],
     "simulate_lattice_ties": ["simulate", "--scenario", LATTICE_TIES],
     "simulate_all_sections": ["simulate", "--scenario", ALL_SECTIONS],
+    "simulate_wifi_seeds3": ["simulate", "--scenario", WIFI, "--seeds", "3"],
+    "simulate_all_sections_seeds3": ["simulate", "--scenario", ALL_SECTIONS, "--seeds", "3"],
     "compare_wifi": ["compare", "--scenario", WIFI],
     "scan_wifi": ["scan", "--scenario", WIFI],
     "scan_all_sections": ["scan", "--scenario", ALL_SECTIONS],
@@ -140,6 +142,20 @@ GOLDEN = {
         "summary.json":
             "0ccdce5d6bdd507e38e05ce08178189b550c8e7d4396ff83fbe806d019e94fe3",
     },
+    "simulate_all_sections_seeds3": {
+        "seed_23/steps.csv":
+            "a0cb304b3f9ff03085fb568800cbb05d1199afa54aeee3f77b820d61e204e37a",
+        "seed_23/summary.json":
+            "0ccdce5d6bdd507e38e05ce08178189b550c8e7d4396ff83fbe806d019e94fe3",
+        "seed_24/steps.csv":
+            "7ba8f095c4c7910ee34bf89c7b574b6ab4173c95670dfa15bedd1cd6567c3721",
+        "seed_24/summary.json":
+            "2b4907527abbe3e36eaf9681b34e47eb3628d5fa9aed687d16723791806dd697",
+        "seed_25/steps.csv":
+            "870e065c54ded82fad471152db8bf53ccd0b72b2f7a3cc1b423c719912becf86",
+        "seed_25/summary.json":
+            "4219c30e3b3fdd9b2b07985160e2e54a398e3a5227879f9c5fa4209dc440dd46",
+    },
     "simulate_desk_seeds3": {
         "seed_42/steps.csv":
             "733f7969d4bf0f7aba7c048b5711f166b2f9cb95183fea28754f8b29a9cbf7f1",
@@ -171,6 +187,20 @@ GOLDEN = {
             "d0957e25cb5ca6502d87f1172fafaa2c64f81626cf6de2b10ad84dea1bc69aee",
         "summary.json":
             "0d78b858bebf0d74e9b1bc79c32406f4b866bdbb50ba4ad296aceb734e4d085a",
+    },
+    "simulate_wifi_seeds3": {
+        "seed_7/steps.csv":
+            "d0957e25cb5ca6502d87f1172fafaa2c64f81626cf6de2b10ad84dea1bc69aee",
+        "seed_7/summary.json":
+            "0d78b858bebf0d74e9b1bc79c32406f4b866bdbb50ba4ad296aceb734e4d085a",
+        "seed_8/steps.csv":
+            "9daa2653c3df975851dd6265ba68a11675826bd4412bd37ad84d1ede09fc6aa2",
+        "seed_8/summary.json":
+            "b39baf5d5e18b0445eecbb6fccc943eb0154a1fa30ee656442c5a92c5cd99409",
+        "seed_9/steps.csv":
+            "a7f3a8c5f262f666f092132dbe33ec2c834a520ab7b370dd49c00bf0fd7b0a8d",
+        "seed_9/summary.json":
+            "2ebe4b84489171c91a5766cd500c93c0ed6ae5eae84327f5aea1a167783bc4d8",
     },
 }
 
