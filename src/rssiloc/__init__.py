@@ -74,6 +74,7 @@ from .simulate import (
     compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,
+    run_batch,
     run_scenario,
     step_errors,
     verify_three_coverage,

@@ -109,14 +109,19 @@ class ChannelMonitor:
         self.window_size = window_size
         self.failure_threshold = failure_threshold
         self._outcomes: deque[bool] = deque(maxlen=window_size)
+        self._failures = 0  # failed outcomes in the window
 
     def record_packet_outcome(self, success: bool) -> None:
+        if len(self._outcomes) == self.window_size and not self._outcomes[0]:
+            self._failures -= 1  # the append evicts a failure
         self._outcomes.append(success)
+        if not success:
+            self._failures += 1
 
     def failure_ratio(self) -> float:
         if not self._outcomes:
             return 0.0
-        return sum(1 for ok in self._outcomes if not ok) / len(self._outcomes)
+        return self._failures / len(self._outcomes)
 
     def should_rescan(self) -> bool:
         if len(self._outcomes) < self.window_size:
@@ -127,3 +132,4 @@ class ChannelMonitor:
         """Activate a new channel and clear the packet window."""
         self.active_channel = channel
         self._outcomes.clear()
+        self._failures = 0

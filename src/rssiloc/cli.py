@@ -28,15 +28,17 @@ import numpy as np
 
 from . import kernels
 from .channel import ScanConfig, scan_all_channels, select_channel
-from .errors import LocalizationError
+from .errors import FilterDivergenceError, LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
     FLAVORS,
     RunResult,
     Scenario,
+    batch_plan,
     compute_metrics,
     plan_square_grid_deployment,
+    run_batch,
     run_scenario,
     step_errors,
     verify_three_coverage,
@@ -69,6 +71,16 @@ MAX_INTERFERERS = 256
 MAX_SEEDS = 100_000
 MAX_BEACONS = 1_024
 MAX_RSSI_CELLS = 10_000_000
+# Two bounds in simulate size run_batch's buffers (simulate.batch_plan), so
+# that a sweep of many seeds holds about as much as one run at the caps above:
+# - simulate.SEED_CHUNK_CELLS = 10**7: seeds run, and cmd_simulate writes
+#   them, in chunks of at most this many aggregated readings (seeds x steps
+#   x beacons), the readings of one run at MAX_RSSI_CELLS.
+# - simulate.STEP_BLOCK_READINGS = 2**13: a chunk draws and reduces its
+#   reading windows in blocks of at most this many readings (seeds x steps
+#   x beacons x window, 64 KiB), or of one step of one seed where that
+#   alone is more, as in a lone run (up to MAX_BEACONS x MAX_SAMPLES).
+#   Larger blocks save no time and raise peak memory by their temporaries.
 
 
 def _build(cls, path, **kw):
@@ -410,16 +422,33 @@ def cmd_simulate(args) -> int:
     if uncovered:
         _report_uncovered(uncovered, "trajectory coverage precheck failed")
         return EXIT_DOMAIN
+    seeds = [scenario.seed + i for i in range(1 if args.seeds is None else args.seeds)]
+    # one seed chunk per call, so the sweep holds one chunk's results at a time
+    chunk, _ = batch_plan(len(seeds), len(scenario.trajectory), len(scenario.beacons),
+                          scenario.aggregation_window)
+    for first in range(0, len(seeds), chunk):
+        part = seeds[first:first + chunk]
+        try:
+            results = run_batch(scenario, part)
+        except FilterDivergenceError as exc:
+            # the runs before the diverged seed keep their outputs
+            _write_sweep(exc.completed, part, scenario, args)
+            raise
+        _write_sweep(results, part, scenario, args)
+    return EXIT_OK
+
+
+def _write_sweep(results: list[RunResult], seeds: list[int], scenario: Scenario, args) -> None:
+    """Write each run's outputs, to the output directory itself for a
+    single run or to a seed_<n> subdirectory in a `--seeds` sweep."""
     out_root = Path(args.out)
-    for i in range(1 if args.seeds is None else args.seeds):
-        s = dataclasses.replace(scenario, seed=scenario.seed + i)
-        result = run_scenario(s)
-        out_dir = out_root if args.seeds is None else out_root / f"seed_{s.seed}"
+    for seed, result in zip(seeds, results):
+        s = dataclasses.replace(scenario, seed=seed)
+        out_dir = out_root if args.seeds is None else out_root / f"seed_{seed}"
         summary = write_run_outputs(result, s, out_dir, args.format)
         kf = summary["metrics"]["kalman"]
-        print(f"seed {s.seed}: {len(result.true)} steps, "
+        print(f"seed {seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
-    return EXIT_OK
 
 
 def cmd_scan(args) -> int:

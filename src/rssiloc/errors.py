@@ -25,7 +25,12 @@ class SingularGeometryError(LocalizationError):
 
 class FilterDivergenceError(LocalizationError):
     """The range filter cannot correct: singular innovation covariance or
-    a state outside the float range."""
+    a state outside the float range. `completed` holds the runs a batch
+    finished before the diverged one, in seed order."""
+
+    def __init__(self, message: str, completed=()):
+        super().__init__(message)
+        self.completed = list(completed)
 
 
 class NoResolvedStepsError(LocalizationError):

@@ -10,6 +10,14 @@ counting lives here too, in two shapes: over a list of sample points
 stamped only over the bounding box of its disc
 (lattice_coverage_counts).
 
+The pipeline kernels are batch-shaped: aggregation and ordering work
+along the last axis of any array, lateration_batch solves every row of
+(..., k) anchor sets, and ekf_step_batch / ekf_correct_batch advance a
+(B, ...) stack of filters. Each row keeps the bits of the same
+operation on that row alone, so one implementation serves the seed-
+batched simulator and the one-at-a-time public functions:
+lateration_solve, ekf_correct and ekf_step are batch-of-one views.
+
 Kernels take plain floats and numpy arrays, trust their inputs and
 return status flags instead of raising. The public functions in
 radio/localization/tracking validate their arguments, call these
@@ -25,14 +33,16 @@ import math
 import numpy as np
 
 __all__ = [
-    "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "db_mean", "top_k",
-    "lateration_solve", "ekf_predict", "range_jacobian", "ekf_gain", "ekf_correct",
+    "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "censored",
+    "db_mean", "top_k", "lateration_batch", "lateration_solve", "ekf_predict",
+    "range_jacobian", "ekf_gain", "ekf_correct_batch", "ekf_correct", "ekf_step_batch",
     "ekf_step", "coverage_counts", "lattice_coverage_counts",
 ]
 
 _COVERAGE_CHUNK = 1 << 16
 _COVERAGE_ELEMENTS = 1 << 24
 _ANCHOR_EPS = 1e-9
+_EYE2 = np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +87,11 @@ def shadowed_readings(mean, sigma, sensitivity, rng, n):
     s + (n,), drawn row-major, so one (k, n) draw consumes the generator
     exactly like k windows of n drawn one after another."""
     mean = np.asarray(mean)
-    values = mean[..., None] + rng.normal(0.0, sigma, size=mean.shape + (n,))
+    return censored(mean[..., None] + rng.normal(0.0, sigma, size=mean.shape + (n,)), sensitivity)
+
+
+def censored(values, sensitivity):
+    """Readings with those below `sensitivity` (unheard) set to NaN."""
     return np.where(values < sensitivity, np.nan, values)
 
 
@@ -92,119 +106,172 @@ def db_mean(readings):
 
 
 def top_k(ids, rssi, k):
-    """Indices of the k strongest readings, RSSI descending, ties to the
-    lower id."""
-    return np.lexsort((ids, -rssi))[:k]
+    """Indices of the k strongest readings along the last (beacon) axis,
+    RSSI descending, ties to the lower id. `ids` broadcasts against
+    `rssi`; a NaN reading (unheard) sorts after every number."""
+    return np.lexsort((np.broadcast_to(ids, rssi.shape), -rssi), axis=-1)[..., :k]
 
 
 # ---------------------------------------------------------------------------
 # linearized lateration (normal equations on the 2-unknown system)
 
 
-def lateration_solve(ax, ay, d):
-    """Solve for the position whose squared anchor distances best match d.
+def lateration_batch(ax, ay, d):
+    """Solve, per row of (..., k) anchor coordinates and ranges, for the
+    position whose squared anchor distances best match d.
 
     Rows i = 1..k-1 of the linear system, anchored on node 0:
 
         [2(x_i - x_0), 2(y_i - y_0)] @ (x, y)
             = d_0^2 - d_i^2 + x_i^2 + y_i^2 - x_0^2 - y_0^2
 
-    solved through the 2x2 normal equations. Returns (status, x, y)
-    with status 0 on success and 1 when the normal matrix is singular
-    (collinear anchors) or the solution is not finite (ranges beyond
-    the float range)."""
-    x0 = ax[0]
-    y0 = ay[0]
-    c0 = d[0] * d[0] - x0 * x0 - y0 * y0
-    s11 = 0.0
-    s12 = 0.0
-    s22 = 0.0
-    t1 = 0.0
-    t2 = 0.0
-    for i in range(1, ax.shape[0]):
-        a1 = 2.0 * (ax[i] - x0)
-        a2 = 2.0 * (ay[i] - y0)
-        b = c0 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i]
-        s11 += a1 * a1
-        s12 += a1 * a2
-        s22 += a2 * a2
-        t1 += a1 * b
-        t2 += a2 * b
-    det = s11 * s22 - s12 * s12
-    scale = 0.5 * (s11 + s22)
-    if det <= 1e-12 * scale * scale:
-        return 1, 0.0, 0.0
-    x = (s22 * t1 - s12 * t2) / det
-    y = (s11 * t2 - s12 * t1) / det
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return 1, 0.0, 0.0
-    return 0, x, y
+    solved through the 2x2 normal equations. The sums run over i in
+    ascending order, one array add per anchor, so each row carries the
+    bits of the scalar left-to-right loop whatever k is. Returns
+    (status, x, y) of shape (...): status 0 on success and 1 when the
+    normal matrix is singular (collinear anchors) or the solution is not
+    finite (ranges beyond the float range or not numbers); x and y are
+    0.0 where status is 1."""
+    x0 = ax[..., 0]
+    y0 = ay[..., 0]
+    # rows that fail compute garbage; their status reports it
+    with np.errstate(all="ignore"):
+        c0 = d[..., 0] * d[..., 0] - x0 * x0 - y0 * y0
+        s11 = s12 = s22 = t1 = t2 = 0.0
+        for i in range(1, ax.shape[-1]):
+            xi, yi, di = ax[..., i], ay[..., i], d[..., i]
+            a1 = 2.0 * (xi - x0)
+            a2 = 2.0 * (yi - y0)
+            b = c0 - di * di + xi * xi + yi * yi
+            s11 = s11 + a1 * a1
+            s12 = s12 + a1 * a2
+            s22 = s22 + a2 * a2
+            t1 = t1 + a1 * b
+            t2 = t2 + a2 * b
+        det = s11 * s22 - s12 * s12
+        scale = 0.5 * (s11 + s22)
+        x = (s22 * t1 - s12 * t2) / det
+        y = (s11 * t2 - s12 * t1) / det
+        ok = ~(det <= 1e-12 * scale * scale) & np.isfinite(x) & np.isfinite(y)
+    return (~ok).astype(np.int8), np.where(ok, x, 0.0), np.where(ok, y, 0.0)
+
+
+def lateration_solve(ax, ay, d):
+    """lateration_batch for one anchor set of shape (k,). Returns
+    (status, x, y) as Python numbers."""
+    status, x, y = lateration_batch(ax, ay, d)
+    return int(status), float(x), float(y)
 
 
 # ---------------------------------------------------------------------------
 # range-driven planar Kalman filter
+#
+# The kernels take a stack of filters: positions (B, 2), covariances
+# (B, 2, 2), anchor coordinates and ranges (B, k), one shared transition,
+# control, Q and R. Products are stacked matmuls and inverses, which give
+# each row the bits of the same product on that row alone; the matrix-
+# vector products are written as (M @ v[..., None])[..., 0] for the same
+# reason (v @ M.T and einsum round differently from M @ v).
 
 
 def ekf_predict(pos, cov, st, ctrl, q):
     """Propagate the state through the transition matrix and inflate the
     covariance with the process noise. Returns (pos, cov)."""
-    return st @ pos + ctrl, st @ cov @ st.T + q
+    return (st @ pos[..., None])[..., 0] + ctrl, st @ cov @ st.T + q
 
 
 def range_jacobian(pred, ax, ay):
     """Jacobian of the anchor-range map at `pred` and the ranges there.
 
-    Row i is the unit vector from anchor i toward `pred`. Returns
+    Row i of h is the unit vector from anchor i toward `pred`. Returns
     (status, h, ranges); status 1 flags `pred` on an anchor, where the
-    map is not differentiable."""
-    k = ax.shape[0]
-    h = np.empty((k, 2))
-    ranges = np.empty(k)
-    for i in range(k):
-        dx = pred[0] - ax[i]
-        dy = pred[1] - ay[i]
-        ri = math.sqrt(dx * dx + dy * dy)
-        if ri < _ANCHOR_EPS:
-            return 1, None, None
-        ranges[i] = ri
-        h[i, 0] = dx / ri
-        h[i, 1] = dy / ri
-    return 0, h, ranges
+    map is not differentiable, and that h is all zeros."""
+    dx = pred[..., 0, None] - ax
+    dy = pred[..., 1, None] - ay
+    ranges = np.sqrt(dx * dx + dy * dy)
+    on_anchor = np.logical_or.reduce(ranges < _ANCHOR_EPS, axis=-1)
+    # ranges off an anchor divide as they are; max() only keeps an anchor
+    # hit from dividing by zero
+    h = np.concatenate((dx[..., None], dy[..., None]), axis=-1)
+    h /= np.maximum(ranges, _ANCHOR_EPS)[..., None]
+    h[on_anchor] = 0.0
+    return on_anchor.astype(np.int8), h, ranges
 
 
 def ekf_gain(cov, h, r):
-    """Kalman gain E H^T (H E H^T + R)^-1."""
-    return cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+    """Kalman gain E H^T (H E H^T + R)^-1; raises LinAlgError when the
+    innovation covariance is singular."""
+    ht = np.swapaxes(h, -1, -2)
+    return cov @ ht @ np.linalg.inv(h @ cov @ ht + r)
+
+
+def _inverse_rows(m):
+    """(singular, inverse) of a (B, n, n) stack: singular is None when no
+    matrix is, else a (B,) mask whose rows hold a zero inverse. Every
+    other row gets the inverse it would get alone."""
+    try:
+        return None, np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        pass
+    singular = np.zeros(m.shape[0], dtype=bool)
+    inverse = np.zeros_like(m)
+    for i in range(m.shape[0]):
+        try:
+            inverse[i] = np.linalg.inv(m[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return singular, inverse
+
+
+def ekf_correct_batch(pred, pcov, ax, ay, z, r):
+    """Correct a stack of predictions with measured anchor ranges z.
+
+    The innovation is z minus the ranges a prediction implies; the
+    covariance update (I - K H) E is symmetrized against drift. Returns
+    (status, pos, cov) with a (B,) int8 status, 0 on success. A row with
+    another status comes back as its prediction: 1 flags a prediction on
+    an anchor, 2 a singular innovation covariance or a corrected position
+    outside the float range (a diverged filter). Rows never mix."""
+    status, h, ranges = range_jacobian(pred, ax, ay)
+    ht = h.swapaxes(-1, -2)
+    singular, s_inv = _inverse_rows(h @ pcov @ ht + r)
+    k = pcov @ ht @ s_inv
+    new_pos = pred + (k @ (z - ranges)[..., None])[..., 0]
+    new_cov = (_EYE2 - k @ h) @ pcov
+    new_cov = 0.5 * (new_cov + new_cov.swapaxes(-1, -2))
+    diverged = ~np.logical_and.reduce(np.isfinite(new_pos), axis=-1)
+    if singular is not None:
+        diverged |= singular
+    status[(status == 0) & diverged] = 2
+    failed = status != 0
+    if np.count_nonzero(failed):
+        new_pos[failed] = pred[failed]
+        new_cov[failed] = pcov[failed]
+    return status, new_pos, new_cov
 
 
 def ekf_correct(pred, pcov, ax, ay, z, r):
-    """Correct a prediction with measured anchor ranges z.
+    """ekf_correct_batch for one filter. Returns (status, pos, cov); on a
+    non-zero status, `pred` and `pcov` themselves."""
+    status, pos, cov = ekf_correct_batch(pred[None], pcov[None], ax[None], ay[None], z[None], r)
+    if status[0] != 0:
+        return int(status[0]), pred, pcov
+    return 0, pos[0], cov[0]
 
-    The innovation is z minus the ranges the prediction implies; the
-    covariance update (I - K H) E is symmetrized against drift. Returns
-    (status, pos, cov) with status 0 on success. Otherwise the prediction
-    comes back unchanged: status 1 flags a prediction on an anchor, and
-    status 2 a singular innovation covariance or a corrected position
-    outside the float range (a diverged filter)."""
-    status, h, ranges = range_jacobian(pred, ax, ay)
-    if status != 0:
-        return 1, pred, pcov
-    try:
-        k = ekf_gain(pcov, h, r)
-    except np.linalg.LinAlgError:
-        return 2, pred, pcov
-    new_pos = pred + k @ (z - ranges)
-    if not (math.isfinite(new_pos[0]) and math.isfinite(new_pos[1])):
-        return 2, pred, pcov
-    new_cov = (np.eye(2) - k @ h) @ pcov
-    return 0, new_pos, 0.5 * (new_cov + new_cov.T)
+
+def ekf_step_batch(pos, cov, ax, ay, z, st, ctrl, q, r):
+    """One predict-then-correct cycle over a stack of filters. Returns
+    (status, pos, cov) as ekf_correct_batch does."""
+    pred, pcov = ekf_predict(pos, cov, st, ctrl, q)
+    return ekf_correct_batch(pred, pcov, ax, ay, z, r)
 
 
 def ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
-    """One predict-then-correct cycle. Returns (status, pos, cov) as
-    ekf_correct does."""
-    pred, pcov = ekf_predict(pos, cov, st, ctrl, q)
-    return ekf_correct(pred, pcov, ax, ay, z, r)
+    """ekf_step_batch for one filter. Returns (status, pos, cov) as
+    Python status and (2,), (2, 2) arrays."""
+    status, pos, cov = ekf_step_batch(pos[None], cov[None], ax[None], ay[None], z[None],
+                                      st, ctrl, q, r)
+    return int(status[0]), pos[0], cov[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,25 @@ step. Three estimate flavors are recorded from the same random draws:
     averaged  lateration on the window means
     kalman    averaged estimate passed through the range filter
 
+run_batch runs one scenario for many seeds at once, stage by stage over
+seeds x steps rather than step by step:
+
+    draw       per seed and step, in a lone run's order: the packet
+               uniforms, the monitor and any rescan, then one window of
+               shadowing normals per beacon into a buffer
+    stateless  readings, aggregation, top-3, ranging and lateration of
+               both flavors as array expressions over (seeds, steps, ...)
+    filter     T sequential EKF steps, each over every seed with a fix
+
+Each seed keeps its own generator, so its columns are bit-identical to a
+run of that seed alone; run_scenario is the batch of one. Seeds run in
+chunks and window readings in step blocks (batch_plan), so a batch holds
+about as much memory as one run.
+
 A run returns its results as columns, one row per trajectory step
 (RunResult): the true position, each flavor's estimate (NaN where the
-step has none), the active channel and the aggregated RSSI per beacon.
+step has none), the active channel, the aggregated RSSI per beacon and
+a status naming why a filtered estimate is missing.
 
 Time is virtual: the sampling/aggregation intervals are bookkeeping and
 a step counter advances the run, so equal scenarios (seed included)
@@ -43,6 +59,8 @@ __all__ = [
     "plan_square_grid_deployment",
     "verify_three_coverage",
     "run_scenario",
+    "run_batch",
+    "batch_plan",
     "compare_pipelines",
     "compute_metrics",
     "step_errors",
@@ -60,6 +78,12 @@ FLAVORS = ("raw", "averaged", "kalman")
 _MAX_PLANNED_BEACONS = 1_000_000
 _MAX_LATTICE_POINTS = 4_000_000
 _MAX_COVERAGE_PAIRS = 1_000_000_000
+
+# run_batch's memory bounds (see batch_plan): aggregated readings per seed
+# chunk, as many as one run at the input cap holds, and window readings per
+# step block (64 KiB of them), so a batch adds little to what one run holds.
+SEED_CHUNK_CELLS = 10_000_000
+STEP_BLOCK_READINGS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -119,6 +143,10 @@ class RunResult:
     channel : (T,) int64 active ZigBee channel index
     rssi : (T, n_beacons) aggregated dBm in scenario beacon order, NaN
         where a beacon was unheard over the whole window
+    status : (T,) int8 why the step has or lacks a filtered estimate:
+        0 resolved, 1 fewer than three beacons heard, 2 lateration failed
+        (collinear anchors or ranges beyond the float range), 3 EKF skipped
+        (the prediction landed on an anchor)
     """
 
     true: np.ndarray
@@ -127,6 +155,7 @@ class RunResult:
     kalman: np.ndarray
     channel: np.ndarray
     rssi: np.ndarray
+    status: np.ndarray
 
     @property
     def resolved(self) -> np.ndarray:
@@ -238,101 +267,172 @@ def verify_three_coverage(
 # pipeline execution
 
 
-def run_scenario(s: Scenario) -> RunResult:
-    """Execute the full pipeline over the scenario trajectory.
+def batch_plan(n_seeds: int, n_steps: int, n_beacons: int, window: int) -> tuple[int, int]:
+    """(seeds per chunk, steps per block) of run_batch for this many seeds
+    of a scenario of this shape. A chunk holds at most SEED_CHUNK_CELLS
+    aggregated readings (seeds x steps x beacons) and a block at most
+    STEP_BLOCK_READINGS window readings (chunk seeds x block steps x
+    beacons x window), unless one seed or one step alone holds more, as a
+    run of that seed alone does; each holds at least one."""
+    per_step = n_beacons * window
+    chunk = max(1, min(n_seeds, SEED_CHUNK_CELLS // (n_steps * n_beacons),
+                       STEP_BLOCK_READINGS // per_step))
+    block = max(1, min(n_steps, STEP_BLOCK_READINGS // (chunk * per_step)))
+    return chunk, block
+
+
+def run_batch(s: Scenario, seeds) -> list[RunResult]:
+    """Run the full pipeline over the scenario trajectory once per seed;
+    s.seed is ignored. Returns one RunResult per seed, in order, each
+    bit-identical to the run of that seed alone.
 
     Steps where fewer than three beacons are heard degrade gracefully:
     their estimate rows stay NaN and the run continues. The Kalman chain
     initializes on the first averaged fix with zero covariance and
     advances once per resolved step.
-    """
-    rng = np.random.default_rng(s.seed)
 
-    report = scan_all_channels(s.environment, s.scan, rng)
-    monitor = ChannelMonitor(
-        select_channel(report), MONITOR_WINDOW, MONITOR_FAILURE_THRESHOLD
-    )
+    A run whose filter diverges raises FilterDivergenceError naming the
+    step; the error's `completed` holds the results of the seeds before
+    it."""
+    seeds = [int(seed) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    chunk, block = batch_plan(len(seeds), len(s.trajectory), len(s.beacons),
+                              s.aggregation_window)
+    results: list[RunResult] = []
+    for first in range(0, len(seeds), chunk):
+        part, diverged = _run_chunk(s, seeds[first:first + chunk], block)
+        results.extend(part)
+        if diverged is not None:
+            raise FilterDivergenceError(f"range filter diverged at step {diverged}",
+                                        completed=results)
+    return results
 
+
+def run_scenario(s: Scenario) -> RunResult:
+    """The run of s.seed: run_batch for one seed."""
+    return run_batch(s, [s.seed])[0]
+
+
+def _run_chunk(s: Scenario, seeds: list[int], block: int):
+    """Runs of a chunk of seeds, stage by stage. Returns the results of
+    the seeds before the first diverged one (all of them when none
+    diverged) and that seed's divergence step, or None."""
+    n_seeds, n_steps, n_beacons = len(seeds), len(s.trajectory), len(s.beacons)
+    pl = s.path_loss
+    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
     beacon_x = np.array([b.position.x for b in s.beacons])
     beacon_y = np.array([b.position.y for b in s.beacons])
     beacon_ids = np.array([b.id for b in s.beacons])
-    pl = s.path_loss
+    dist = np.hypot(beacon_x - true[:, 0, None], beacon_y - true[:, 1, None])
+    true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
 
-    cfg = s.kalman
+    raw = np.empty((n_seeds, n_steps, 2))
+    averaged = np.empty((n_seeds, n_steps, 2))
+    channel = np.empty((n_seeds, n_steps), dtype=np.int64)
+    rssi = np.empty((n_seeds, n_steps, n_beacons))
+    status = np.empty((n_seeds, n_steps), dtype=np.int8)
+    k = min(3, n_beacons)
+    anchor_x = np.empty((n_seeds, n_steps, k))
+    anchor_y = np.empty((n_seeds, n_steps, k))
+    ranges = np.empty((n_seeds, n_steps, k))
 
-    kf_pos: np.ndarray | None = None
-    kf_cov: np.ndarray | None = None
+    # Draw stage: each seed's generator, called in the order of a lone run.
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    monitors = [ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)),
+                               MONITOR_WINDOW, MONITOR_FAILURE_THRESHOLD) for rng in rngs]
+    noise = np.empty((n_seeds, block, n_beacons, s.aggregation_window))
+    for t0 in range(0, n_steps, block):
+        t1 = min(t0 + block, n_steps)
+        for b, (rng, monitor) in enumerate(zip(rngs, monitors)):
+            for t in range(t0, t1):
+                # Fig.-3 loop: one packet exchange per step on the active
+                # channel, rescan when the failure window trips.
+                monitor.record_packet_outcome(
+                    packet_success(s.environment, monitor.active_channel, rng))
+                if monitor.should_rescan():
+                    report = scan_all_channels(s.environment, s.scan, rng)
+                    monitor.switch_to(select_channel(report))
+                channel[b, t] = monitor.active_channel.index
+                noise[b, t - t0] = rng.normal(0.0, s.shadowing.sigma, noise.shape[2:])
 
-    n_steps = len(s.trajectory)
-    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
-    raw = np.full((n_steps, 2), np.nan)
-    averaged = np.full((n_steps, 2), np.nan)
-    kalman = np.full((n_steps, 2), np.nan)
-    channel = np.empty(n_steps, dtype=np.int64)
-    rssi = np.empty((n_steps, len(s.beacons)))
-    for step in range(n_steps):
-        # Fig.-3 loop: one packet exchange per step on the active channel,
-        # rescan when the failure window trips.
-        monitor.record_packet_outcome(
-            packet_success(s.environment, monitor.active_channel, rng)
-        )
-        if monitor.should_rescan():
-            report = scan_all_channels(s.environment, s.scan, rng)
-            monitor.switch_to(select_channel(report))
-        channel[step] = monitor.active_channel.index
+        # Stateless stage: readings, aggregation, top-3, ranging and
+        # lateration for every seed and step of the block at once.
+        readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:, :t1 - t0],
+                                    s.radio.sensitivity)
+        agg = rssi[:, t0:t1] = kernels.db_mean(readings)
+        fix_status, xy, _, _ = _fixes(readings[..., 0], beacon_ids, beacon_x, beacon_y, pl)
+        raw[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+        fix_status, xy, sel, fix_ranges = _fixes(agg, beacon_ids, beacon_x, beacon_y, pl)
+        averaged[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+        status[:, t0:t1] = fix_status
+        anchor_x[:, t0:t1] = beacon_x[sel]
+        anchor_y[:, t0:t1] = beacon_y[sel]
+        ranges[:, t0:t1] = fix_ranges
 
-        # One window of noisy readings per beacon.
-        tx, ty = true[step]
-        dist = np.hypot(beacon_x - tx, beacon_y - ty)
-        true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
-        readings = kernels.shadowed_readings(
-            true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window
-        )
-        agg = rssi[step] = kernels.db_mean(readings)
-
-        fix = _estimate(beacon_x, beacon_y, beacon_ids, readings[:, 0], pl)
-        if fix is not None:
-            raw[step] = fix[0]
-        fix = _estimate(beacon_x, beacon_y, beacon_ids, agg, pl)
-        if fix is None:
-            continue
-        averaged[step], sel, ranges = fix
-        if kf_pos is None:
-            # First fix seeds the filter: zero initial covariance, the
-            # next prediction injects Q.
-            kf_pos = averaged[step].copy()
-            kf_cov = np.zeros((2, 2))
-        else:
-            ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
-                kf_pos, kf_cov,
-                beacon_x[sel], beacon_y[sel], ranges,
-                cfg.state_transition, cfg.control, cfg.process_noise,
-                cfg.measurement_noise,
-            )
-            if ok == 2:
-                raise FilterDivergenceError(f"range filter diverged at step {step}")
-            if ok != 0:
-                # prediction landing on an anchor: keep the previous state,
-                # leave this step's filtered estimate absent
-                continue
-            kf_pos, kf_cov = kf_pos_new, kf_cov_new
-        kalman[step] = kf_pos
-    return RunResult(true, raw, averaged, kalman, channel, rssi)
+    # Filter stage: one step at a time, all seeds at once.
+    kalman, diverged = _filter(s.kalman, averaged, status, anchor_x, anchor_y, ranges)
+    stop = n_seeds if diverged is None else diverged[0]
+    results = [RunResult(true.copy(), raw[b], averaged[b], kalman[b], channel[b], rssi[b],
+                         status[b]) for b in range(stop)]
+    return results, None if diverged is None else diverged[1]
 
 
-def _estimate(beacon_x, beacon_y, beacon_ids, rssi, pl: PathLossParams):
+def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):
     """Top-3 selection over the heard (non-NaN) readings, path-loss
-    inversion, lateration. Returns ((x, y), selected indices, ranges) or
-    None when unresolvable."""
-    idx = np.flatnonzero(~np.isnan(rssi))
-    if idx.size < 3:
-        return None
-    sel = idx[kernels.top_k(beacon_ids[idx], rssi[idx], 3)]
-    ranges = kernels.path_loss_range(rssi[sel], pl.rssi_at_ref, pl.ref_distance, pl.exponent)
-    status, x, y = kernels.lateration_solve(beacon_x[sel], beacon_y[sel], ranges)
-    if status != 0:
-        return None
-    return (x, y), sel, ranges
+    inversion and lateration for each (..., n_beacons) row. Returns the
+    row status (0 a fix, 1 fewer than three heard, 2 lateration failed),
+    the (..., 2) fix, and the selected indices and their ranges,
+    (..., 3) each."""
+    heard = np.count_nonzero(~np.isnan(rssi), axis=-1) >= 3
+    sel = kernels.top_k(beacon_ids, rssi, 3)
+    ranges = kernels.path_loss_range(np.take_along_axis(rssi, sel, axis=-1),
+                                     pl.rssi_at_ref, pl.ref_distance, pl.exponent)
+    failed, x, y = kernels.lateration_batch(beacon_x[sel], beacon_y[sel], ranges)
+    fix_status = np.where(heard, 2 * failed, 1).astype(np.int8)
+    return fix_status, np.stack((x, y), axis=-1), sel, ranges
+
+
+def _filter(cfg: KalmanConfig, averaged, status, anchor_x, anchor_y, ranges):
+    """Run the range filter over every seed's averaged fixes, one step at
+    a time across the seeds, and mark EKF skips (a prediction on an
+    anchor) as status 3 in place. Returns the (B, T, 2) filtered
+    estimates and (first diverged seed, its step), or None when no seed
+    diverged."""
+    n_seeds, n_steps = status.shape
+    kalman = np.full((n_seeds, n_steps, 2), np.nan)
+    fix = status == 0
+    # First fix seeds the filter: zero initial covariance, the next
+    # prediction injects Q. A seed without a fix never reads its row.
+    first = np.argmax(fix, axis=1)
+    pos = averaged[np.arange(n_seeds), first]
+    seeded = np.flatnonzero(fix.any(axis=1))
+    kalman[seeded, first[seeded]] = pos[seeded]
+    cov = np.zeros((n_seeds, 2, 2))
+    steps = fix & (np.arange(n_steps) > first[:, None])
+    diverged_at = np.full(n_seeds, -1)
+    for t in np.flatnonzero(steps.any(axis=0)).tolist():
+        rows = np.flatnonzero(steps[:, t])
+        if not rows.size:
+            continue
+        step_status, new_pos, new_cov = kernels.ekf_step_batch(
+            pos[rows], cov[rows], anchor_x[rows, t], anchor_y[rows, t], ranges[rows, t],
+            cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
+        )
+        if np.count_nonzero(step_status):
+            ok = step_status == 0
+            # a prediction landing on an anchor keeps the previous state
+            # and leaves this step's filtered estimate absent
+            status[rows[step_status == 1], t] = 3
+            # a diverged seed's run ends here; the others go on
+            lost = rows[step_status == 2]
+            diverged_at[lost] = t
+            steps[lost] = False
+            rows, new_pos, new_cov = rows[ok], new_pos[ok], new_cov[ok]
+        pos[rows] = kalman[rows, t] = new_pos
+        cov[rows] = new_cov
+    lost = np.flatnonzero(diverged_at >= 0)
+    return kalman, (int(lost[0]), int(diverged_at[lost[0]])) if lost.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from rssiloc.simulate import (
     Scenario,
     compute_metrics,
     plan_square_grid_deployment,
-    run_scenario,
+    run_batch,
     verify_three_coverage,
 )
 from rssiloc.spectrum import (
@@ -110,19 +110,17 @@ def test_criterion_2_equal_reading_snapshot():
 
 @pytest.fixture(scope="module")
 def surrogate_sweep():
-    def scenario(seed):
-        return Scenario(
-            roi=Rect(0, 0, 30, 30),
-            beacons=TRIANGLE,
-            trajectory=(Point2D(12.0, 9.0),) * 200,
-            seed=seed,
-            shadowing=ShadowingModel(2.0),
-        )
+    scenario = Scenario(
+        roi=Rect(0, 0, 30, 30),
+        beacons=TRIANGLE,
+        trajectory=(Point2D(12.0, 9.0),) * 200,
+        seed=0,
+        shadowing=ShadowingModel(2.0),
+    )
 
     t0 = time.perf_counter()
     rows = []
-    for seed in range(100):
-        result = run_scenario(scenario(seed))
+    for result in run_batch(scenario, range(100)):
         tail = [
             math.hypot(kx - tx, ky - ty)
             for (kx, ky), (tx, ty) in zip(result.kalman[-50:].tolist(), result.true[-50:].tolist())
@@ -130,6 +128,7 @@ def surrogate_sweep():
         rows.append({
             "resolved": bool(result.resolved.all()),
             "kalman_finite": bool(np.isfinite(result.kalman).all()),
+            "status_resolved": bool((result.status == 0).all()),
             "tail_rmse": float(np.sqrt(np.mean(np.square(tail)))),
             "raw": compute_metrics(result, "raw").rmse,
             "averaged": compute_metrics(result, "averaged").rmse,
@@ -323,9 +322,10 @@ def test_criterion_9_cli_determinism(tmp_path):
 
 
 def test_run_records_are_complete(surrogate_sweep):
-    # companion sanity for the sweep: every surrogate step resolved and
-    # carries a finite filtered estimate
+    # companion sanity for the sweep: every surrogate step resolved, carries
+    # a finite filtered estimate and says so in its status
     rows, _ = surrogate_sweep
     assert len(rows) == 100
     assert all(r["resolved"] for r in rows)
     assert all(r["kalman_finite"] for r in rows)
+    assert all(r["status_resolved"] for r in rows)

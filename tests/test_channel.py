@@ -164,6 +164,23 @@ def test_monitor_all_failures():
     assert mon.failure_ratio() == 1.0
 
 
+@given(st.lists(st.one_of(st.booleans(), st.just("switch")), max_size=80), st.integers(1, 25))
+def test_monitor_ratio_counts_the_window(events, window):
+    # the running failure count equals a count over the window's outcomes
+    monitor = ChannelMonitor(ZigbeeChannel(11), window, 0.2)
+    outcomes = []
+    for event in events:
+        if event == "switch":
+            monitor.switch_to(ZigbeeChannel(12))
+            outcomes = []
+        else:
+            monitor.record_packet_outcome(event)
+            outcomes = (outcomes + [event])[-window:]
+        expected = outcomes.count(False) / len(outcomes) if outcomes else 0.0
+        assert monitor.failure_ratio() == expected
+        assert monitor.should_rescan() == (len(outcomes) == window and expected > 0.2)
+
+
 def test_monitor_evicts_oldest():
     mon = ChannelMonitor(ZigbeeChannel(11))
     mon.record_packet_outcome(False)

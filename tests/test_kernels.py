@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rssiloc import kernels
 from rssiloc.simulate import _lattice_1d
@@ -179,36 +179,72 @@ def test_top_k_matches_sorted_oracle(items, k):
 # lateration
 
 
+def scalar_lateration(ax, ay, d):
+    """The one-anchor-set solve with Python-scalar sums, as the package
+    computed it before lateration_batch: (status, x, y)."""
+    x0 = ax[0]
+    y0 = ay[0]
+    c0 = d[0] * d[0] - x0 * x0 - y0 * y0
+    s11 = 0.0
+    s12 = 0.0
+    s22 = 0.0
+    t1 = 0.0
+    t2 = 0.0
+    for i in range(1, ax.shape[0]):
+        a1 = 2.0 * (ax[i] - x0)
+        a2 = 2.0 * (ay[i] - y0)
+        b = c0 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i]
+        s11 += a1 * a1
+        s12 += a1 * a2
+        s22 += a2 * a2
+        t1 += a1 * b
+        t2 += a2 * b
+    det = s11 * s22 - s12 * s12
+    scale = 0.5 * (s11 + s22)
+    if det <= 1e-12 * scale * scale:
+        return 1, 0.0, 0.0
+    x = (s22 * t1 - s12 * t2) / det
+    y = (s11 * t2 - s12 * t1) / det
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return 1, 0.0, 0.0
+    return 0, x, y
+
+
+def normal_equation_reference(ax, ay, d):
+    """The same linear system built as matrices and solved by numpy."""
+    a_mat = np.column_stack([2 * (ax[1:] - ax[0]), 2 * (ay[1:] - ay[0])])
+    b_vec = d[0] ** 2 - d[1:] ** 2 + ax[1:] ** 2 + ay[1:] ** 2 - ax[0] ** 2 - ay[0] ** 2
+    return a_mat, b_vec
+
+
 def test_lateration_paths_agree():
     # the accumulated 2x2 normal equations against the same system built
-    # as matrices and solved by numpy, four anchors (overdetermined)
+    # as matrices and solved by numpy, four anchors (overdetermined), 200
+    # anchor sets in one batch
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        ax = rng.uniform(-50, 50, 4)
-        ay = rng.uniform(-50, 50, 4)
-        d = rng.uniform(0.5, 80, 4)
-        status, x, y = kernels.lateration_solve(ax, ay, d)
-        assert status == 0
-        a_mat = np.column_stack([2 * (ax[1:] - ax[0]), 2 * (ay[1:] - ay[0])])
-        b_vec = d[0] ** 2 - d[1:] ** 2 + ax[1:] ** 2 + ay[1:] ** 2 - ax[0] ** 2 - ay[0] ** 2
+    ax = rng.uniform(-50, 50, (200, 4))
+    ay = rng.uniform(-50, 50, (200, 4))
+    d = rng.uniform(0.5, 80, (200, 4))
+    status, x, y = kernels.lateration_batch(ax, ay, d)
+    assert status.shape == (200,) and not status.any()
+    for i in range(200):
+        a_mat, b_vec = normal_equation_reference(ax[i], ay[i], d[i])
         ref = np.linalg.solve(a_mat.T @ a_mat, a_mat.T @ b_vec)
-        assert (x, y) == pytest.approx(tuple(ref), rel=1e-9, abs=1e-9)
+        assert (x[i], y[i]) == pytest.approx(tuple(ref), rel=1e-9, abs=1e-9)
 
 
 def test_lateration_against_lstsq_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        ax = rng.uniform(-50, 50, 3)
-        ay = rng.uniform(-50, 50, 3)
-        if abs((ax[1] - ax[0]) * (ay[2] - ay[0]) - (ax[2] - ax[0]) * (ay[1] - ay[0])) < 5.0:
-            continue
-        d = rng.uniform(1, 80, 3)
-        status, x, y = kernels.lateration_solve(ax, ay, d)
-        assert status == 0
-        a_mat = np.column_stack([2 * (ax[1:] - ax[0]), 2 * (ay[1:] - ay[0])])
-        b_vec = d[0] ** 2 - d[1:] ** 2 + ax[1:] ** 2 + ay[1:] ** 2 - ax[0] ** 2 - ay[0] ** 2
-        ref = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
-        assert (x, y) == pytest.approx(tuple(ref), rel=1e-9, abs=1e-9)
+    ax = rng.uniform(-50, 50, (100, 3))
+    ay = rng.uniform(-50, 50, (100, 3))
+    d = rng.uniform(1, 80, (100, 3))
+    keep = np.abs((ax[:, 1] - ax[:, 0]) * (ay[:, 2] - ay[:, 0])
+                  - (ax[:, 2] - ax[:, 0]) * (ay[:, 1] - ay[:, 0])) >= 5.0
+    status, x, y = kernels.lateration_batch(ax[keep], ay[keep], d[keep])
+    assert not status.any()
+    for i, (row_x, row_y, row_d) in enumerate(zip(ax[keep], ay[keep], d[keep])):
+        ref = np.linalg.lstsq(*normal_equation_reference(row_x, row_y, row_d), rcond=None)[0]
+        assert (x[i], y[i]) == pytest.approx(tuple(ref), rel=1e-9, abs=1e-9)
 
 
 def test_lateration_flags_collinear():
@@ -216,14 +252,45 @@ def test_lateration_flags_collinear():
     ay = np.array([0.0, 0.0, 0.0])
     d = np.array([5.0, 5.0, 5.0])
     assert kernels.lateration_solve(ax, ay, d)[0] == 1
+    assert kernels.lateration_batch(ax[None], ay[None], d[None])[0].tolist() == [1]
 
 
 def test_lateration_flags_non_finite_solution():
     # a range whose square leaves the float range has no finite fix
     ax = np.array([0.0, 30.0, 15.0])
     ay = np.array([0.0, 0.0, 30.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert kernels.lateration_solve(ax, ay, np.array([1e200, 5.0, 5.0])) == (1, 0.0, 0.0)
+    assert kernels.lateration_solve(ax, ay, np.array([1e200, 5.0, 5.0])) == (1, 0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.sampled_from([(1,), (40,), (6, 7)]), st.integers(0, 2**32 - 1))
+def test_lateration_batch_matches_scalar_loop(k, lead, seed):
+    # every row of a (..., k) batch carries the scalar loop's status and
+    # bits, with collinear, coincident and non-finite rows mixed in
+    rng = np.random.default_rng(seed)
+    ax = rng.uniform(-50, 50, lead + (k,))
+    ay = rng.uniform(-50, 50, lead + (k,))
+    d = rng.uniform(0.1, 80, lead + (k,))
+    flat = (ax.reshape(-1, k), ay.reshape(-1, k), d.reshape(-1, k))
+    for row in range(0, flat[0].shape[0], 3):
+        kind = rng.integers(5)
+        if kind == 0:  # anchors on one line
+            t = rng.uniform(-20, 20, k)
+            flat[0][row], flat[1][row] = 3.0 + 2.0 * t, -1.0 + 0.5 * t
+        elif kind == 1:  # every anchor at one point
+            flat[0][row], flat[1][row] = 7.0, -4.0
+        elif kind == 2:  # a range whose square overflows
+            flat[2][row, rng.integers(k)] = 1e200
+        elif kind == 3:  # a missing reading
+            flat[2][row, rng.integers(k)] = math.nan
+    status, x, y = kernels.lateration_batch(ax, ay, d)
+    assert status.shape == x.shape == y.shape == lead and status.dtype == np.int8
+    with np.errstate(all="ignore"):
+        expected = np.array([scalar_lateration(*row) for row in zip(*flat)])
+    assert status.ravel().tolist() == expected[:, 0].astype(int).tolist()
+    assert x.ravel().tobytes() == expected[:, 1].tobytes()
+    assert y.ravel().tobytes() == expected[:, 2].tobytes()
+    assert 0 < status.sum() < status.size or status.size == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +299,6 @@ def test_lateration_flags_non_finite_solution():
 ANCHORS = (AnchorNode(0, Point2D(0, 0)), AnchorNode(1, Point2D(30, 0)), AnchorNode(2, Point2D(15, 30)))
 EKF_AX = np.array([0.0, 30.0, 15.0])
 EKF_AY = np.array([0.0, 0.0, 30.0])
-
-
-def _random_ekf_inputs(rng):
-    pos = rng.uniform(2, 28, 2)
-    a = rng.uniform(0.1, 1.0, (2, 2))
-    cov = a @ a.T
-    z = rng.uniform(5, 40, 3)
-    return pos, cov, z
 
 
 def matrix_form_filter_step(pos, cov, anchors_xy, z, st, ctrl, q, r):
@@ -256,21 +315,53 @@ def matrix_form_filter_step(pos, cov, anchors_xy, z, st, ctrl, q, r):
     return new_pos, 0.5 * (new_cov + new_cov.T)
 
 
+def scalar_ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
+    """One filter's predict/correct with a Python loop for the Jacobian,
+    as the package computed it before ekf_step_batch: (status, pos, cov)."""
+    pred, pcov = st @ pos + ctrl, st @ cov @ st.T + q
+    h = np.empty((ax.shape[0], 2))
+    ranges = np.empty(ax.shape[0])
+    for i in range(ax.shape[0]):
+        dx = pred[0] - ax[i]
+        dy = pred[1] - ay[i]
+        ri = math.sqrt(dx * dx + dy * dy)
+        if ri < 1e-9:
+            return 1, pred, pcov
+        ranges[i] = ri
+        h[i, 0] = dx / ri
+        h[i, 1] = dy / ri
+    try:
+        k = pcov @ h.T @ np.linalg.inv(h @ pcov @ h.T + r)
+    except np.linalg.LinAlgError:
+        return 2, pred, pcov
+    new_pos = pred + k @ (z - ranges)
+    if not (math.isfinite(new_pos[0]) and math.isfinite(new_pos[1])):
+        return 2, pred, pcov
+    new_cov = (np.eye(2) - k @ h) @ pcov
+    return 0, new_pos, 0.5 * (new_cov + new_cov.T)
+
+
+def _random_ekf_batch(rng, n):
+    pos = rng.uniform(2, 28, (n, 2))
+    a = rng.uniform(0.1, 1.0, (n, 2, 2))
+    return pos, a @ a.transpose(0, 2, 1), rng.uniform(5, 40, (n, 3))
+
+
 def test_ekf_step_paths_agree():
-    # the simulator's fused kernel call and the public predict/update
-    # pair give bit-identical states
+    # the simulator's fused batch kernel and the public predict/update
+    # pair give bit-identical states, row by row
     rng = np.random.default_rng(3)
     cfg = KalmanConfig()
-    for _ in range(100):
-        pos, cov, z = _random_ekf_inputs(rng)
-        status, kpos, kcov = kernels.ekf_step(
-            pos, cov, EKF_AX, EKF_AY, z,
-            cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
-        )
-        assert status == 0
-        ref = filter_step(KalmanState(pos, cov), RangeMeasurement(ANCHORS, z), cfg)
-        assert np.array_equal(kpos, ref.position)
-        assert np.array_equal(kcov, ref.covariance)
+    pos, cov, z = _random_ekf_batch(rng, 100)
+    status, kpos, kcov = kernels.ekf_step_batch(
+        pos, cov, np.tile(EKF_AX, (100, 1)), np.tile(EKF_AY, (100, 1)), z,
+        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
+    )
+    assert status.shape == (100,) and not status.any()
+    for i in range(100):
+        ref = filter_step(KalmanState(pos[i], cov[i]), RangeMeasurement(ANCHORS, z[i]), cfg)
+        assert np.array_equal(kpos[i], ref.position)
+        assert np.array_equal(kcov[i], ref.covariance)
 
 
 def test_ekf_step_matches_public_filter_step():
@@ -278,16 +369,54 @@ def test_ekf_step_matches_public_filter_step():
     cfg = KalmanConfig()
     anchors_xy = np.column_stack([EKF_AX, EKF_AY])
     args = (np.eye(2), np.zeros(2), 0.01 * np.eye(2), np.eye(3))
-    for _ in range(50):
-        pos, cov, z = _random_ekf_inputs(rng)
-        ref_pos, ref_cov = matrix_form_filter_step(pos, cov, anchors_xy, z, *args)
-        status, kpos, kcov = kernels.ekf_step(pos, cov, EKF_AX, EKF_AY, z, *args)
-        assert status == 0
-        assert kpos == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
-        assert kcov == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
-        public = filter_step(KalmanState(pos, cov), RangeMeasurement(ANCHORS, z), cfg)
+    pos, cov, z = _random_ekf_batch(rng, 50)
+    status, kpos, kcov = kernels.ekf_step_batch(
+        pos, cov, np.tile(EKF_AX, (50, 1)), np.tile(EKF_AY, (50, 1)), z, *args)
+    assert not status.any()
+    for i in range(50):
+        ref_pos, ref_cov = matrix_form_filter_step(pos[i], cov[i], anchors_xy, z[i], *args)
+        assert kpos[i] == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
+        assert kcov[i] == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
+        public = filter_step(KalmanState(pos[i], cov[i]), RangeMeasurement(ANCHORS, z[i]), cfg)
         assert public.position == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
         assert public.covariance == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+def test_ekf_step_batch_rows_never_mix(seed, n, general):
+    # anchor hits (status 1), singular innovations and non-finite
+    # corrections (status 2) sit in one batch with good rows; every row
+    # carries the status and bits of its own one-row run and of the
+    # scalar step
+    rng = np.random.default_rng(seed)
+    pos, cov, z = _random_ekf_batch(rng, n)
+    ax = rng.uniform(0, 30, (n, 3))
+    ay = rng.uniform(0, 30, (n, 3))
+    if general:  # drifting transition, control offset, correlated R
+        st_, ctrl = np.array([[1.0, 0.02], [-0.01, 0.99]]), np.array([0.6, 0.4])
+        q = np.zeros((2, 2))
+        r = np.array([[2.0, 0.1, 0.0], [0.1, 1.5, 0.0], [0.0, 0.0, 0.0]])
+    else:
+        st_, ctrl, q, r = np.eye(2), np.zeros(2), np.zeros((2, 2)), np.diag([1.0, 1.0, 0.0])
+    kinds = rng.integers(0, 4, n)
+    for i in np.flatnonzero(kinds == 1):  # the prediction lands on anchor 1
+        pred = st_ @ pos[i] + ctrl
+        ax[i, 1], ay[i, 1] = pred
+    cov[kinds == 2] = 0.0  # with Q = 0, H E H^T + R = R, which is singular
+    z[kinds == 3, 2] = np.inf
+    status, kpos, kcov = kernels.ekf_step_batch(pos, cov, ax, ay, z, st_, ctrl, q, r)
+    assert status.dtype == np.int8
+    assert status.tolist() == [{0: 0, 1: 1, 2: 2, 3: 2}[k] for k in kinds.tolist()]
+    for i in range(n):
+        one = kernels.ekf_step_batch(pos[i:i + 1], cov[i:i + 1], ax[i:i + 1], ay[i:i + 1],
+                                     z[i:i + 1], st_, ctrl, q, r)
+        with np.errstate(all="ignore"):
+            ref = scalar_ekf_step(pos[i], cov[i], ax[i], ay[i], z[i], st_, ctrl, q, r)
+        assert one[0].tolist() == [ref[0]] == [status[i]]
+        for got in ((kpos[i], kcov[i]), (one[1][0], one[2][0])):
+            assert got[0].tobytes() == ref[1].tobytes()
+            assert got[1].tobytes() == ref[2].tobytes()
 
 
 def test_ekf_step_flags_anchor_coincidence():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rssiloc import kernels
-from rssiloc.channel import ScanConfig
-from rssiloc.errors import CapacityError, NoResolvedStepsError
+from rssiloc import kernels, simulate
+from rssiloc.channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
+from rssiloc.errors import CapacityError, FilterDivergenceError, NoResolvedStepsError
 from rssiloc.geometry import AnchorNode, Point2D, Rect
 from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel
 from rssiloc.simulate import (
@@ -17,10 +18,11 @@ from rssiloc.simulate import (
     compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,
+    run_batch,
     run_scenario,
     verify_three_coverage,
 )
-from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
+from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel, packet_success
 from rssiloc.tracking import KalmanConfig
 
 TRIANGLE = (
@@ -308,6 +310,324 @@ def test_library_types_reject_non_finite_values(build):
 
 
 # ---------------------------------------------------------------------------
+# run_batch against the per-step loop
+
+
+def oracle_run(s):
+    """One seed's run as the package computed it one step at a time
+    before run_batch: the loop body of the old run_scenario, verbatim
+    but for its return value, a dict of the RunResult columns it had."""
+    rng = np.random.default_rng(s.seed)
+
+    report = scan_all_channels(s.environment, s.scan, rng)
+    monitor = ChannelMonitor(
+        select_channel(report), simulate.MONITOR_WINDOW, simulate.MONITOR_FAILURE_THRESHOLD
+    )
+
+    beacon_x = np.array([b.position.x for b in s.beacons])
+    beacon_y = np.array([b.position.y for b in s.beacons])
+    beacon_ids = np.array([b.id for b in s.beacons])
+    pl = s.path_loss
+
+    cfg = s.kalman
+
+    kf_pos = None
+    kf_cov = None
+
+    n_steps = len(s.trajectory)
+    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+    raw = np.full((n_steps, 2), np.nan)
+    averaged = np.full((n_steps, 2), np.nan)
+    kalman = np.full((n_steps, 2), np.nan)
+    channel = np.empty(n_steps, dtype=np.int64)
+    rssi = np.empty((n_steps, len(s.beacons)))
+    for step in range(n_steps):
+        # Fig.-3 loop: one packet exchange per step on the active channel,
+        # rescan when the failure window trips.
+        monitor.record_packet_outcome(
+            packet_success(s.environment, monitor.active_channel, rng)
+        )
+        if monitor.should_rescan():
+            report = scan_all_channels(s.environment, s.scan, rng)
+            monitor.switch_to(select_channel(report))
+        channel[step] = monitor.active_channel.index
+
+        # One window of noisy readings per beacon.
+        tx, ty = true[step]
+        dist = np.hypot(beacon_x - tx, beacon_y - ty)
+        true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
+        readings = kernels.shadowed_readings(
+            true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window
+        )
+        agg = rssi[step] = kernels.db_mean(readings)
+
+        fix = oracle_estimate(beacon_x, beacon_y, beacon_ids, readings[:, 0], pl)
+        if fix is not None:
+            raw[step] = fix[0]
+        fix = oracle_estimate(beacon_x, beacon_y, beacon_ids, agg, pl)
+        if fix is None:
+            continue
+        averaged[step], sel, ranges = fix
+        if kf_pos is None:
+            # First fix seeds the filter: zero initial covariance, the
+            # next prediction injects Q.
+            kf_pos = averaged[step].copy()
+            kf_cov = np.zeros((2, 2))
+        else:
+            ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
+                kf_pos, kf_cov,
+                beacon_x[sel], beacon_y[sel], ranges,
+                cfg.state_transition, cfg.control, cfg.process_noise,
+                cfg.measurement_noise,
+            )
+            if ok == 2:
+                raise FilterDivergenceError(f"range filter diverged at step {step}")
+            if ok != 0:
+                # prediction landing on an anchor: keep the previous state,
+                # leave this step's filtered estimate absent
+                continue
+            kf_pos, kf_cov = kf_pos_new, kf_cov_new
+        kalman[step] = kf_pos
+    return dict(true=true, raw=raw, averaged=averaged, kalman=kalman, channel=channel, rssi=rssi)
+
+
+def oracle_estimate(beacon_x, beacon_y, beacon_ids, rssi, pl):
+    """Top-3 selection over the heard (non-NaN) readings, path-loss
+    inversion, lateration. Returns ((x, y), selected indices, ranges) or
+    None when unresolvable."""
+    idx = np.flatnonzero(~np.isnan(rssi))
+    if idx.size < 3:
+        return None
+    sel = idx[kernels.top_k(beacon_ids[idx], rssi[idx], 3)]
+    ranges = kernels.path_loss_range(rssi[sel], pl.rssi_at_ref, pl.ref_distance, pl.exponent)
+    status, x, y = kernels.lateration_solve(beacon_x[sel], beacon_y[sel], ranges)
+    if status != 0:
+        return None
+    return (x, y), sel, ranges
+
+
+def oracle_status(columns):
+    """The status each step of an oracle run must carry, read off its
+    columns: 0 with a filtered estimate, 3 with an averaged fix but none,
+    else 1 or 2 by whether three beacons were heard."""
+    heard = np.count_nonzero(~np.isnan(columns["rssi"]), axis=1) >= 3
+    status = np.where(heard, 2, 1).astype(np.int8)
+    status[~np.isnan(columns["averaged"][:, 0])] = 3
+    status[~np.isnan(columns["kalman"][:, 0])] = 0
+    return status
+
+
+def oracle_sweep(s, seeds):
+    """The oracle's runs of each seed up to the first divergence, and that
+    divergence's message (None without one)."""
+    runs = []
+    for seed in seeds:
+        try:
+            runs.append(oracle_run(dataclasses.replace(s, seed=seed)))
+        except FilterDivergenceError as exc:
+            return runs, str(exc)
+    return runs, None
+
+
+def batch_sweep(s, seeds):
+    """run_batch's results, in oracle_sweep's form."""
+    try:
+        return run_batch(s, seeds), None
+    except FilterDivergenceError as exc:
+        return exc.completed, str(exc)
+
+
+def assert_same_runs(got, expected):
+    (results, message), (runs, expected_message) = got, expected
+    assert message == expected_message
+    assert len(results) == len(runs)
+    for result, columns in zip(results, runs):
+        columns = dict(columns, status=oracle_status(columns))
+        for name, column in columns.items():
+            value = getattr(result, name)
+            assert value.dtype == column.dtype and value.shape == column.shape, name
+            assert value.tobytes() == column.tobytes(), name
+
+
+KALMAN_CONFIGS = (
+    KalmanConfig(),
+    # drifting transition, control offset, correlated Q and R
+    KalmanConfig(
+        state_transition=[[1.0, 0.02], [-0.01, 0.99]],
+        control=[0.6, 0.4],
+        process_noise=[[0.3, 0.05], [0.05, 0.2]],
+        measurement_noise=[[2.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 1.0]],
+    ),
+    # R negligible next to a huge Q: the filter diverges
+    KalmanConfig(process_noise=1e30 * np.eye(2), measurement_noise=1e-30 * np.eye(3)),
+    # every prediction at (0, 0): a beacon there makes the filter skip
+    KalmanConfig(state_transition=np.zeros((2, 2))),
+)
+
+
+@st.composite
+def batch_scenes(draw):
+    """A scene and seed list for run_batch. Beacons sit on a 5 m lattice
+    and half the waypoints on a 2.5 m one, so equal readings (an id tie)
+    and collinear top-3 sets are common; a short sensitivity reach leaves
+    beacons unheard."""
+    n = draw(st.integers(3, 12))
+    cells = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          min_size=n, max_size=n, unique=True))
+    ids = draw(st.permutations(range(n)))
+    beacons = tuple(AnchorNode(3 * i + 1, Point2D(5.0 * cx, 5.0 * cy))
+                    for i, (cx, cy) in zip(ids, cells))
+    on_beacon = {b.position for b in beacons}
+    lattice = st.builds(lambda i, j: Point2D(2.5 * i, 2.5 * j),
+                        st.integers(0, 12), st.integers(0, 12))
+    anywhere = st.builds(Point2D, st.floats(0, 30), st.floats(0, 30))
+    waypoints = draw(st.lists(st.one_of(lattice, anywhere), min_size=1, max_size=25))
+    trajectory = tuple(Point2D(p.x + 1.25, p.y) if p in on_beacon else p for p in waypoints)
+    interferers = draw(st.lists(st.builds(
+        InterfererProfile, st.builds(WifiChannel, st.integers(1, 13)),
+        st.floats(-90.0, -40.0), st.floats(0.0, 1.0)), max_size=4))
+    scene = Scenario(
+        roi=Rect(-5, -5, 35, 35),
+        beacons=beacons,
+        trajectory=trajectory,
+        seed=0,
+        path_loss=PathLossParams(exponent=draw(st.sampled_from((2.0, 3.0)))),
+        radio=RadioSpec(sensitivity=draw(st.sampled_from((-107.0, -85.0, -75.0)))),
+        shadowing=ShadowingModel(draw(st.sampled_from((0.0, 0.5, 2.0, 4.0)))),
+        environment=ChannelEnvironment(tuple(interferers)),
+        scan=ScanConfig(samples_per_channel=draw(st.integers(1, 4))),
+        kalman=draw(st.sampled_from(KALMAN_CONFIGS)),
+        aggregation_window=draw(st.integers(1, 12)),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    return scene, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_scenes())
+def test_run_batch_matches_per_step_loop(scene):
+    # every column of every seed, status included, bit for bit; a
+    # divergence stops the batch at the same seed and step
+    s, seeds = scene
+    assert_same_runs(batch_sweep(s, seeds), oracle_sweep(s, seeds))
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch_scenes(), st.sampled_from(("one", "some")))
+def test_chunk_and_block_bounds_move_no_bits(scene, bounds):
+    # seed chunks and step blocks of one, or of a few with a ragged last
+    # one, give the columns of a single chunk and block
+    s, seeds = scene
+    whole = batch_sweep(s, seeds)
+    n_steps, n_beacons, window = len(s.trajectory), len(s.beacons), s.aggregation_window
+    chunk, block = (1, 1) if bounds == "one" else (2, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "SEED_CHUNK_CELLS", chunk * n_steps * n_beacons)
+        mp.setattr(simulate, "STEP_BLOCK_READINGS", chunk * block * n_beacons * window)
+        plan = simulate.batch_plan(len(seeds), n_steps, n_beacons, window)
+        assert plan[0] == min(chunk, len(seeds)) and (bounds == "some" or plan == (1, 1))
+        pieces = batch_sweep(s, seeds)
+    assert pieces[1] == whole[1]
+    assert len(pieces[0]) == len(whole[0])
+    for got, expected in zip(pieces[0], whole[0]):
+        for name in ("true", "raw", "averaged", "kalman", "channel", "rssi", "status"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def test_run_batch_matches_per_step_loop_across_rescans():
+    # the 4 x 4 lattice under six partial-duty WiFi interferers: the monitor
+    # rescans mid-run on some seeds, under a non-identity filter
+    lattice = tuple(AnchorNode(4 * iy + ix, Point2D(10.0 * ix, 10.0 * iy))
+                    for iy in range(4) for ix in range(4))
+    s = Scenario(
+        roi=Rect(-5, 0, 35, 32),
+        beacons=lattice,
+        trajectory=tuple(Point2D(3 + 0.6 * i, 4 + 0.4 * i) for i in range(40)),
+        seed=0,
+        path_loss=PathLossParams(rssi_at_ref=-40.0, ref_distance=2.0, exponent=2.5),
+        radio=RadioSpec(tx_power=10.0, sensitivity=-95.0, max_range=45.0),
+        shadowing=ShadowingModel(1.5),
+        environment=ChannelEnvironment(tuple(
+            InterfererProfile(WifiChannel(w), -72.0 - w, 0.2 + 0.03 * w)
+            for w in (1, 4, 6, 9, 11, 13)), noise_floor=-97.0),
+        scan=ScanConfig(samples_per_channel=4),
+        kalman=KALMAN_CONFIGS[1],
+        aggregation_window=5,
+    )
+    seeds = list(range(20, 30))
+    got, expected = batch_sweep(s, seeds), oracle_sweep(s, seeds)
+    assert_same_runs(got, expected)
+    assert sum(len(set(r.channel.tolist())) > 1 for r in got[0]) >= 3
+
+
+def test_divergence_keeps_the_runs_before_it(monkeypatch):
+    # the second of three seeds diverges at step 5: the error names that
+    # step and carries the first seed's run, as a lone run computes it
+    real = kernels.ekf_step_batch
+    steps = iter(range(1, 1000))
+
+    def diverge_row_one_at_step_five(*args):
+        status, pos, cov = real(*args)
+        if next(steps) == 5:  # the filter first steps at step 1
+            status[1] = 2
+        return status, pos, cov
+
+    s = triangle_scenario(seed=0, steps=12, sigma=2.0)
+    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
+    with pytest.raises(FilterDivergenceError, match="diverged at step 5") as info:
+        run_batch(s, [7, 8, 9])
+    monkeypatch.undo()
+    alone = run_scenario(dataclasses.replace(s, seed=7))
+    assert len(info.value.completed) == 1
+    for name in ("raw", "averaged", "kalman", "channel", "rssi", "status"):
+        assert getattr(info.value.completed[0], name).tobytes() == getattr(alone, name).tobytes()
+
+
+def test_status_names_each_missing_estimate():
+    # 1: far beacons are unheard; 2: three collinear beacons; 3: a filter
+    # whose prediction is always anchor (0, 0)
+    def run(beacons, **kw):
+        return run_scenario(Scenario(roi=Rect(-50, -50, 50, 50), beacons=beacons,
+                                     trajectory=(Point2D(12.0, 9.0),) * 6, seed=3,
+                                     shadowing=ShadowingModel(1.0), **kw))
+
+    unheard = run(TRIANGLE, radio=RadioSpec(sensitivity=-60.0))
+    assert unheard.status.tolist() == [1] * 6
+    assert (np.count_nonzero(~np.isnan(unheard.rssi), axis=1) < 3).all()
+    collinear = run(tuple(AnchorNode(i, Point2D(15.0 * i - 20.0, 0.0)) for i in range(3)))
+    assert collinear.status.tolist() == [2] * 6
+    assert not np.isnan(collinear.rssi).any() and np.isnan(collinear.averaged).all()
+    on_anchor = run(TRIANGLE, kalman=KalmanConfig(state_transition=np.zeros((2, 2))))
+    assert on_anchor.status.tolist() == [0] + [3] * 5
+    assert not np.isnan(on_anchor.averaged).any()
+    assert np.isnan(on_anchor.kalman[1:]).all() and not np.isnan(on_anchor.kalman[0]).any()
+    assert on_anchor.status.dtype == np.int8
+
+
+def test_batch_buffers_stay_within_their_bounds():
+    # computed, not run: the largest buffers run_batch allocates for a
+    # sweep at the input caps (cli.py) stay within the stated bounds
+    from rssiloc.cli import MAX_BEACONS, MAX_RSSI_CELLS, MAX_SAMPLES, MAX_SEEDS, MAX_STEPS
+
+    assert simulate.SEED_CHUNK_CELLS <= MAX_RSSI_CELLS
+    assert simulate.STEP_BLOCK_READINGS <= 1 << 13
+    for n_beacons in (1, 3, 16, MAX_BEACONS):
+        for n_steps in (1, 200, min(MAX_STEPS, MAX_RSSI_CELLS // n_beacons)):
+            for window in (1, 10, MAX_SAMPLES):
+                for n_seeds in (1, 10, MAX_SEEDS):
+                    chunk, block = simulate.batch_plan(n_seeds, n_steps, n_beacons, window)
+                    assert 1 <= chunk <= n_seeds and 1 <= block <= n_steps
+                    # the (chunk, T, n_beacons) aggregated readings: no more
+                    # than one run at the cap
+                    assert chunk * n_steps * n_beacons <= MAX_RSSI_CELLS
+                    # the (chunk, block, n_beacons, window) reading windows:
+                    # the block bound, or one step of one seed as a lone run
+                    window_readings = chunk * block * n_beacons * window
+                    assert (window_readings <= simulate.STEP_BLOCK_READINGS
+                            or (chunk, block) == (1, 1))
+
+
+# ---------------------------------------------------------------------------
 # metrics
 
 
@@ -322,7 +642,7 @@ def test_metrics_hand_values():
     est = np.array([[3.0, 0.0], [0.0, 4.0]])
     result = RunResult(
         true=np.zeros((2, 2)), raw=np.full((2, 2), np.nan), averaged=est, kalman=est,
-        channel=np.array([11, 11]), rssi=np.empty((2, 0)),
+        channel=np.array([11, 11]), rssi=np.empty((2, 0)), status=np.zeros(2, dtype=np.int8),
     )
     m = compute_metrics(result, "kalman")
     assert m.rmse == pytest.approx(3.5355339059327378)
