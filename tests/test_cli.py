@@ -445,6 +445,33 @@ def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
     assert seeds == [42, 43, 44, 45]
 
 
+def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
+    # the second seed of a sweep diverges at step 5: the first seed's outputs
+    # are written as a lone run writes them, and the sweep exits 3 there
+    from rssiloc import kernels
+
+    real = kernels.ekf_step_batch
+    steps = iter(range(1, 1000))
+
+    def diverge_row_one_at_step_five(*args):
+        status, pos, cov = real(*args)
+        if next(steps) == 5:  # the filter first steps at step 1
+            status[1] = 2
+        return status, pos, cov
+
+    scn = write_scenario(tmp_path / "s.json", shadowing={"sigma_db": 2.0})
+    alone = tmp_path / "alone"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(alone)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
+    out = tmp_path / "sweep"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "3"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: range filter diverged at step 5\n"
+    assert sorted(p.name for p in out.iterdir()) == ["seed_42"]
+    for name in ("steps.csv", "summary.json"):
+        assert (out / "seed_42" / name).read_bytes() == (alone / name).read_bytes()
+
+
 @st.composite
 def scenarios(draw):
     """Small valid scenarios with every section set."""
