@@ -516,7 +516,7 @@ def test_run_batch_matches_per_step_loop(scene):
 @given(batch_scenes(), st.sampled_from(("one", "some")))
 def test_chunk_and_block_bounds_move_no_bits(scene, bounds):
     # seed chunks and step blocks of one, or of a few with a ragged last
-    # one, give the columns of a single chunk and block
+    # one, give the columns the default bounds give
     s, seeds = scene
     whole = batch_sweep(s, seeds)
     n_steps, n_beacons, window = len(s.trajectory), len(s.beacons), s.aggregation_window
@@ -558,6 +558,18 @@ def test_run_batch_matches_per_step_loop_across_rescans():
     got, expected = batch_sweep(s, seeds), oracle_sweep(s, seeds)
     assert_same_runs(got, expected)
     assert sum(len(set(r.channel.tolist())) > 1 for r in got[0]) >= 3
+
+
+@pytest.mark.parametrize("seeds", [[0], [1, 2, 3], [7, 8, 9, 10]])
+def test_run_batch_stops_at_the_first_divergence(seeds):
+    # a diverged seed stays stopped while the others run on, so the error
+    # names its first divergence step, as the per-step loop does
+    s = dataclasses.replace(triangle_scenario(seed=0, steps=40, sigma=2.0),
+                            kalman=KALMAN_CONFIGS[2])
+    with np.errstate(all="ignore"):
+        got, expected = batch_sweep(s, seeds), oracle_sweep(s, seeds)
+    assert expected[1] is not None
+    assert_same_runs(got, expected)
 
 
 def test_divergence_keeps_the_runs_before_it(monkeypatch):
