@@ -28,14 +28,13 @@ import numpy as np
 
 from . import kernels
 from .channel import ScanConfig, scan_all_channels, select_channel
-from .errors import FilterDivergenceError, LocalizationError
+from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .simulate import (
     FLAVORS,
     RunResult,
     Scenario,
-    batch_plan,
     compute_metrics,
     plan_square_grid_deployment,
     run_batch,
@@ -71,16 +70,6 @@ MAX_INTERFERERS = 256
 MAX_SEEDS = 100_000
 MAX_BEACONS = 1_024
 MAX_RSSI_CELLS = 10_000_000
-# Two bounds in simulate size run_batch's buffers (simulate.batch_plan), so
-# that a sweep of many seeds holds about as much as one run at the caps above:
-# - simulate.SEED_CHUNK_CELLS = 10**7: seeds run, and cmd_simulate writes
-#   them, in chunks of at most this many aggregated readings (seeds x steps
-#   x beacons), the readings of one run at MAX_RSSI_CELLS.
-# - simulate.STEP_BLOCK_READINGS = 2**13: a chunk draws and reduces its
-#   reading windows in blocks of at most this many readings (seeds x steps
-#   x beacons x window, 64 KiB), or of one step of one seed where that
-#   alone is more, as in a lone run (up to MAX_BEACONS x MAX_SAMPLES).
-#   Larger blocks save no time and raise peak memory by their temporaries.
 
 
 def _build(cls, path, **kw):
@@ -359,7 +348,9 @@ _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
 
 
 def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -> dict:
-    """Write steps.<fmt> and summary.json; returns the summary object."""
+    """Write steps.<fmt> and summary.json; returns the summary object.
+    A run where no step resolved raises before any file is written."""
+    metrics = _metrics_block(result)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = _step_rows(result)
     if fmt == "json":
@@ -370,7 +361,7 @@ def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -
     summary = {
         "seed": s.seed,
         "config": scenario_to_dict(s),
-        "metrics": _metrics_block(result),
+        "metrics": metrics,
     }
     _write_json(out_dir / "summary.json", summary)
     return summary
@@ -390,15 +381,8 @@ def _coverage_precheck(s: Scenario) -> list[Point2D]:
     bx = np.array([b.position.x for b in s.beacons])
     by = np.array([b.position.y for b in s.beacons])
     counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
-    bad = np.flatnonzero(counts < 3)
-    seen = set()
-    uncovered = []
-    for i in bad:
-        p = (float(px[i]), float(py[i]))
-        if p not in seen:
-            seen.add(p)
-            uncovered.append(Point2D(*p))
-    return uncovered
+    bad = counts < 3
+    return [Point2D(*p) for p in dict.fromkeys(zip(px[bad].tolist(), py[bad].tolist()))]
 
 
 def _report_uncovered(uncovered: list[Point2D], what: str) -> None:
@@ -423,32 +407,17 @@ def cmd_simulate(args) -> int:
         _report_uncovered(uncovered, "trajectory coverage precheck failed")
         return EXIT_DOMAIN
     seeds = [scenario.seed + i for i in range(1 if args.seeds is None else args.seeds)]
-    # one seed chunk per call, so the sweep holds one chunk's results at a time
-    chunk, _ = batch_plan(len(seeds), len(scenario.trajectory), len(scenario.beacons),
-                          scenario.aggregation_window)
-    for first in range(0, len(seeds), chunk):
-        part = seeds[first:first + chunk]
-        try:
-            results = run_batch(scenario, part)
-        except FilterDivergenceError as exc:
-            # the runs before the diverged seed keep their outputs
-            _write_sweep(exc.completed, part, scenario, args)
-            raise
-        _write_sweep(results, part, scenario, args)
-    return EXIT_OK
-
-
-def _write_sweep(results: list[RunResult], seeds: list[int], scenario: Scenario, args) -> None:
-    """Write each run's outputs, to the output directory itself for a
-    single run or to a seed_<n> subdirectory in a `--seeds` sweep."""
     out_root = Path(args.out)
-    for seed, result in zip(seeds, results):
+    # each run is written as it arrives, so the runs before a diverged seed
+    # keep their outputs; a single run writes to the output directory itself
+    for seed, result in zip(seeds, run_batch(scenario, seeds)):
         s = dataclasses.replace(scenario, seed=seed)
         out_dir = out_root if args.seeds is None else out_root / f"seed_{seed}"
         summary = write_run_outputs(result, s, out_dir, args.format)
         kf = summary["metrics"]["kalman"]
         print(f"seed {seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
+    return EXIT_OK
 
 
 def cmd_scan(args) -> int:
@@ -512,6 +481,7 @@ def cmd_compare(args) -> int:
         _report_uncovered(uncovered, "trajectory coverage precheck failed")
         return EXIT_DOMAIN
     result = run_scenario(s)
+    metrics = _metrics_block(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -519,10 +489,10 @@ def cmd_compare(args) -> int:
     rows = [[step, *row] for step, row in enumerate(errors)]
     _write_csv(out_dir / "compare.csv",
                ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
-    metrics = _metrics_block(result)
     _write_json(out_dir / "metrics.json", metrics)
     for flavor in FLAVORS:
-        print(f"{flavor:9s} rmse {metrics[flavor]['rmse_m']:.4f} m")
+        rmse = metrics[flavor]["rmse_m"]
+        print(f"{flavor:9s} rmse " + ("n/a" if rmse is None else f"{rmse:.4f} m"))
     return EXIT_OK
 
 

@@ -25,12 +25,8 @@ class SingularGeometryError(LocalizationError):
 
 class FilterDivergenceError(LocalizationError):
     """The range filter cannot correct: singular innovation covariance or
-    a state outside the float range. `completed` holds the runs a batch
-    finished before the diverged one, in seed order."""
-
-    def __init__(self, message: str, completed=()):
-        super().__init__(message)
-        self.completed = list(completed)
+    a state outside the float range. A seed batch raises it after it has
+    yielded the runs of the seeds before the diverged one."""
 
 
 class NoResolvedStepsError(LocalizationError):

@@ -24,7 +24,9 @@ seeds x steps rather than step by step:
 Each seed keeps its own generator, so its columns are bit-identical to a
 run of that seed alone; run_scenario is the batch of one. Seeds run in
 chunks and window readings in step blocks (batch_plan), so a batch holds
-about as much memory as one run.
+about as much memory as one run. run_batch yields each seed's run as its
+chunk finishes; when a seed's filter diverges it raises after yielding
+the seeds before it.
 
 A run returns its results as columns, one row per trajectory step
 (RunResult): the true position, each flavor's estimate (NaN where the
@@ -39,6 +41,7 @@ reproduce bit-equal results.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +63,6 @@ __all__ = [
     "verify_three_coverage",
     "run_scenario",
     "run_batch",
-    "batch_plan",
     "compare_pipelines",
     "compute_metrics",
     "step_errors",
@@ -82,6 +84,7 @@ _MAX_COVERAGE_PAIRS = 1_000_000_000
 # run_batch's memory bounds (see batch_plan): aggregated readings per seed
 # chunk, as many as one run at the input cap holds, and window readings per
 # step block (64 KiB of them), so a batch adds little to what one run holds.
+# Larger blocks save no time and raise peak memory by their temporaries.
 SEED_CHUNK_CELLS = 10_000_000
 STEP_BLOCK_READINGS = 1 << 13
 
@@ -165,9 +168,12 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Metrics:
-    rmse: float
-    mean_error: float
-    max_error: float
+    """Error statistics of one estimate flavor; rmse, mean_error and
+    max_error are None, and error_cdf empty, where no step carries it."""
+
+    rmse: float | None
+    mean_error: float | None
+    max_error: float | None
     error_cdf: tuple[float, ...]
     resolved_steps: int
     unresolved_steps: int
@@ -281,10 +287,12 @@ def batch_plan(n_seeds: int, n_steps: int, n_beacons: int, window: int) -> tuple
     return chunk, block
 
 
-def run_batch(s: Scenario, seeds) -> list[RunResult]:
+def run_batch(s: Scenario, seeds) -> Iterator[RunResult]:
     """Run the full pipeline over the scenario trajectory once per seed;
-    s.seed is ignored. Returns one RunResult per seed, in order, each
-    bit-identical to the run of that seed alone.
+    s.seed is ignored. Yields one RunResult per seed, in order, each
+    bit-identical to the run of that seed alone. Seeds run one chunk at
+    a time (batch_plan), so a caller that consumes each run as it comes
+    holds one chunk's results at most.
 
     Steps where fewer than three beacons are heard degrade gracefully:
     their estimate rows stay NaN and the run continues. The Kalman chain
@@ -292,26 +300,22 @@ def run_batch(s: Scenario, seeds) -> list[RunResult]:
     advances once per resolved step.
 
     A run whose filter diverges raises FilterDivergenceError naming the
-    step; the error's `completed` holds the results of the seeds before
-    it."""
+    step, after the runs of the seeds before it have been yielded."""
     seeds = [int(seed) for seed in seeds]
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     chunk, block = batch_plan(len(seeds), len(s.trajectory), len(s.beacons),
                               s.aggregation_window)
-    results: list[RunResult] = []
     for first in range(0, len(seeds), chunk):
-        part, diverged = _run_chunk(s, seeds[first:first + chunk], block)
-        results.extend(part)
+        results, diverged = _run_chunk(s, seeds[first:first + chunk], block)
+        yield from results
         if diverged is not None:
-            raise FilterDivergenceError(f"range filter diverged at step {diverged}",
-                                        completed=results)
-    return results
+            raise FilterDivergenceError(f"range filter diverged at step {diverged}")
 
 
 def run_scenario(s: Scenario) -> RunResult:
     """The run of s.seed: run_batch for one seed."""
-    return run_batch(s, [s.seed])[0]
+    return next(run_batch(s, [s.seed]))
 
 
 def _run_chunk(s: Scenario, seeds: list[int], block: int):
@@ -451,11 +455,14 @@ def step_errors(result: RunResult, flavor: str) -> np.ndarray:
 
 def compute_metrics(result: RunResult, flavor: str) -> Metrics:
     """Error statistics for one estimate flavor ('raw', 'averaged' or
-    'kalman'); steps without that estimate are excluded and counted."""
+    'kalman'); steps without that estimate are excluded and counted.
+    Raises NoResolvedStepsError when no step of the run resolved."""
     errors = step_errors(result, flavor)
+    if not result.resolved.any():
+        raise NoResolvedStepsError("no step carries a position fix")
     arr = errors[~np.isnan(errors)]
     if not arr.size:
-        raise NoResolvedStepsError(f"no step carries a {flavor} estimate")
+        return Metrics(None, None, None, (), 0, errors.size)
     return Metrics(
         rmse=float(np.sqrt(np.mean(arr * arr))),
         mean_error=float(arr.mean()),

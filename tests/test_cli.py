@@ -424,6 +424,27 @@ def test_domain_failures_exit_3(tmp_path, capsys, case):
     argv = DOMAIN_FAILURES[case](tmp_path)
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DOMAIN
     assert "internal error" not in capsys.readouterr().err
+    # a failed run leaves no half-written outputs
+    assert not (tmp_path / "o" / "steps.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_run_without_raw_fixes_succeeds(tmp_path, capsys, command):
+    # at -71.6 dBm the lone step's first samples leave fewer than three
+    # beacons heard, while the window means resolve: raw has no estimate,
+    # and its statistics are null rather than a failed run
+    scn = _desk(tmp_path, trajectory_m={"static": [12, 9], "steps": 1},
+                radio={"sensitivity_dbm": -71.6})
+    out = tmp_path / "o"
+    assert main([command, "--scenario", scn, "--seed", "0", "--out", str(out)]) == EXIT_OK
+    name = "summary.json" if command == "simulate" else "metrics.json"
+    doc = json.loads((out / name).read_text())
+    metrics = doc["metrics"] if command == "simulate" else doc
+    assert metrics["raw"]["rmse_m"] is None and metrics["raw"]["error_cdf_m"] == []
+    assert metrics["raw"]["resolved_steps"] == 0 and metrics["raw"]["unresolved_steps"] == 1
+    assert metrics["kalman"]["rmse_m"] is not None
+    if command == "compare":
+        assert "raw       rmse n/a" in capsys.readouterr().out
 
 
 def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
@@ -445,31 +466,48 @@ def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
     assert seeds == [42, 43, 44, 45]
 
 
-def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
-    # the second seed of a sweep diverges at step 5: the first seed's outputs
-    # are written as a lone run writes them, and the sweep exits 3 there
+def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call, row):
+    """Sweep three seeds with the filter's `call`-th step (counted from 1)
+    diverging in `row`, the second seed's; check that the sweep exits 3 at
+    step 5 with the first seed's outputs written as a lone run writes them."""
     from rssiloc import kernels
 
     real = kernels.ekf_step_batch
-    steps = iter(range(1, 1000))
+    calls = iter(range(1, 1000))
 
-    def diverge_row_one_at_step_five(*args):
+    def diverge_second_seed_at_step_five(*args):
         status, pos, cov = real(*args)
-        if next(steps) == 5:  # the filter first steps at step 1
-            status[1] = 2
+        if next(calls) == call:
+            status[row] = 2
         return status, pos, cov
 
     scn = write_scenario(tmp_path / "s.json", shadowing={"sigma_db": 2.0})
     alone = tmp_path / "alone"
     assert main(["simulate", "--scenario", str(scn), "--out", str(alone)]) == EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
+    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_second_seed_at_step_five)
     out = tmp_path / "sweep"
     assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "3"]) == EXIT_DOMAIN
     assert capsys.readouterr().err == "error: range filter diverged at step 5\n"
     assert sorted(p.name for p in out.iterdir()) == ["seed_42"]
     for name in ("steps.csv", "summary.json"):
         assert (out / "seed_42" / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
+    # one chunk holds the three seeds: the filter first steps at step 1, so
+    # its 5th call is step 5 of every seed, row 1 being the second
+    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call=5, row=1)
+
+
+def test_sweep_divergence_keeps_earlier_outputs_across_chunks(tmp_path, capsys, monkeypatch):
+    # one seed per chunk: the second seed runs alone after the first seed's
+    # 24 filter steps (steps 1 to 24 of 25), so the first is written before
+    # the diverging chunk runs
+    from rssiloc import simulate
+
+    monkeypatch.setattr(simulate, "SEED_CHUNK_CELLS", 25 * len(TRIANGLE_BEACONS))
+    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call=24 + 5, row=0)
 
 
 @st.composite

@@ -430,11 +430,15 @@ def oracle_sweep(s, seeds):
 
 
 def batch_sweep(s, seeds):
-    """run_batch's results, in oracle_sweep's form."""
+    """run_batch's yielded runs up to its divergence error, and that
+    error's message (None without one): oracle_sweep's form."""
+    results = []
     try:
-        return run_batch(s, seeds), None
+        for result in run_batch(s, seeds):
+            results.append(result)
     except FilterDivergenceError as exc:
-        return exc.completed, str(exc)
+        return results, str(exc)
+    return results, None
 
 
 def assert_same_runs(got, expected):
@@ -573,8 +577,8 @@ def test_run_batch_stops_at_the_first_divergence(seeds):
 
 
 def test_divergence_keeps_the_runs_before_it(monkeypatch):
-    # the second of three seeds diverges at step 5: the error names that
-    # step and carries the first seed's run, as a lone run computes it
+    # the second of three seeds diverges at step 5: the batch first yields
+    # the first seed's run, as a lone run computes it, then raises there
     real = kernels.ekf_step_batch
     steps = iter(range(1, 1000))
 
@@ -585,14 +589,46 @@ def test_divergence_keeps_the_runs_before_it(monkeypatch):
         return status, pos, cov
 
     s = triangle_scenario(seed=0, steps=12, sigma=2.0)
-    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
-    with pytest.raises(FilterDivergenceError, match="diverged at step 5") as info:
-        run_batch(s, [7, 8, 9])
-    monkeypatch.undo()
     alone = run_scenario(dataclasses.replace(s, seed=7))
-    assert len(info.value.completed) == 1
+    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
+    runs = run_batch(s, [7, 8, 9])
+    first = next(runs)
     for name in ("raw", "averaged", "kalman", "channel", "rssi", "status"):
-        assert getattr(info.value.completed[0], name).tobytes() == getattr(alone, name).tobytes()
+        assert getattr(first, name).tobytes() == getattr(alone, name).tobytes()
+    with pytest.raises(FilterDivergenceError, match="diverged at step 5"):
+        next(runs)
+
+
+def counted_chunks(monkeypatch):
+    """Count the calls to simulate._run_chunk in a list of seed lists."""
+    calls = []
+    real = simulate._run_chunk
+
+    def run_chunk(s, seeds, block):
+        calls.append(list(seeds))
+        return real(s, seeds, block)
+
+    monkeypatch.setattr(simulate, "_run_chunk", run_chunk)
+    return calls
+
+
+def test_run_batch_runs_one_chunk_per_yield(monkeypatch):
+    # with one seed per chunk, the first run arrives after one chunk has
+    # run, and each later chunk runs only when its run is asked for
+    s = triangle_scenario(seed=0, steps=6, sigma=2.0)
+    monkeypatch.setattr(simulate, "SEED_CHUNK_CELLS", 6 * len(s.beacons))
+    calls = counted_chunks(monkeypatch)
+    runs = run_batch(s, [3, 4, 5])
+    next(runs)
+    assert calls == [[3]]
+    assert len(list(runs)) == 2 and calls == [[3], [4], [5]]
+
+
+def test_run_batch_rejects_a_negative_seed_before_running(monkeypatch):
+    calls = counted_chunks(monkeypatch)
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        next(run_batch(triangle_scenario(seed=0, steps=4), [0, -1]))
+    assert calls == []
 
 
 def test_status_names_each_missing_estimate():
@@ -661,6 +697,10 @@ def test_metrics_hand_values():
     assert m.mean_error == pytest.approx(3.5)
     assert m.max_error == 4.0
     assert m.error_cdf == (3.0, 4.0)
+    # no step carries a raw estimate, but the run resolved
+    raw = compute_metrics(result, "raw")
+    assert (raw.rmse, raw.mean_error, raw.max_error, raw.error_cdf) == (None, None, None, ())
+    assert raw.resolved_steps == 0 and raw.unresolved_steps == 2
 
 
 def test_metrics_zero_error():
