@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -293,22 +294,55 @@ def scenario_to_dict(s: Scenario) -> dict:
 # output writers (repr floats: shortest round-trip, byte-stable)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+def _cells(column: np.ndarray) -> list[str]:
+    """Text cells of one output column: ints as str, floats as their repr,
+    NaN (an absent estimate) as an empty cell."""
+    values = column.tolist()
+    if column.dtype.kind != "f":
+        return list(map(str, values))
+    cells = list(map(float.__repr__, values))
+    if np.isnan(column).any():
+        cells = ["" if cell == "nan" else cell for cell in cells]
+    return cells
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One line per row of the columns; a column is an array, which
+    _cells formats, or a list of its cells' text."""
+    cells = [column if isinstance(column, list) else _cells(column) for column in columns]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+class _Json(str):
+    """JSON text already encoded at its place in the output."""
+
+
+def _encode(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) for obj, with
+    string dict keys, sitting at `indent`. A list of finite floats or of
+    ints is joined in one go, each number as its repr, which is how json
+    writes it; strings, keys, None, bools, NaN, infinities and empty
+    containers go through json.dumps."""
+    if isinstance(obj, _Json):
+        return obj
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(key)}: {_encode(obj[key], inner)}" for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        if kinds == {float} and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_encode(item, inner) for item in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    return json.dumps(obj)
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_encode(obj) + "\n")
 
 
 def _metrics_block(result: RunResult) -> dict:
@@ -328,43 +362,57 @@ def _metrics_block(result: RunResult) -> dict:
     return block
 
 
-def _cells(table: np.ndarray) -> list[list]:
-    """Rows of a float table with NaN (an absent estimate) as None, which
-    the writers leave as an empty cell."""
-    cells = table.astype(object)
-    cells[np.isnan(table)] = None
-    return cells.tolist()
-
-
-def _step_rows(result: RunResult) -> list[list]:
-    positions = _cells(np.hstack([result.true, result.raw, result.averaged, result.kalman]))
-    columns = zip(positions, result.channel.tolist(), result.resolved.tolist())
-    return [[step, *row, channel, int(resolved)]
-            for step, (row, channel, resolved) in enumerate(columns)]
-
-
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
                 "kf_x", "kf_y", "channel", "resolved"]
 
 
-def write_run_outputs(result: RunResult, s: Scenario, out_dir: Path, fmt: str) -> dict:
-    """Write steps.<fmt> and summary.json; returns the summary object.
-    A run where no step resolved raises before any file is written."""
+def _values(column: np.ndarray) -> list:
+    """Python values of one output column, NaN (an absent estimate) as
+    None, which JSON writes as null."""
+    if column.dtype.kind != "f":
+        return column.tolist()
+    values = column.astype(object)
+    values[np.isnan(column)] = None
+    return values.tolist()
+
+
+@dataclasses.dataclass(frozen=True)
+class ScenarioText:
+    """Output text that every run of one scenario shares, so a sweep
+    encodes it once: the config echo's fields as summary.json text (each
+    run sets its own seed) and the step, true_x and true_y cells of
+    steps.csv."""
+
+    config: dict[str, _Json]
+    step_cells: list[list[str]]
+
+    @classmethod
+    def of(cls, s: Scenario) -> ScenarioText:
+        config = {key: _Json(_encode(value, "    "))
+                  for key, value in scenario_to_dict(s).items()}
+        true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+        steps = list(map(str, range(len(true))))
+        return cls(config, [steps, _cells(true[:, 0]), _cells(true[:, 1])])
+
+
+def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt: str,
+                      seed: int) -> dict:
+    """Write steps.<fmt> and summary.json of the run of this seed; returns
+    its metrics block. A run where no step resolved raises before any file
+    is written."""
     metrics = _metrics_block(result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _step_rows(result)
+    columns = [*result.raw.T, *result.averaged.T, *result.kalman.T, result.channel,
+               result.resolved.astype(np.int64)]
     if fmt == "json":
-        _write_json(out_dir / "steps.json",
-                    [dict(zip(_STEP_HEADER, row)) for row in rows])
+        columns = [np.arange(len(result.true)), *result.true.T, *columns]
+        rows = zip(*map(_values, columns))
+        _write_json(out_dir / "steps.json", [dict(zip(_STEP_HEADER, row)) for row in rows])
     else:
-        _write_csv(out_dir / "steps.csv", _STEP_HEADER, rows)
-    summary = {
-        "seed": s.seed,
-        "config": scenario_to_dict(s),
-        "metrics": metrics,
-    }
-    _write_json(out_dir / "summary.json", summary)
-    return summary
+        _write_csv(out_dir / "steps.csv", _STEP_HEADER, [*text.step_cells, *columns])
+    _write_json(out_dir / "summary.json",
+                {"seed": seed, "config": dict(text.config, seed=seed), "metrics": metrics})
+    return metrics
 
 
 def _coverage_precheck(s: Scenario) -> list[Point2D]:
@@ -408,13 +456,12 @@ def cmd_simulate(args) -> int:
         return EXIT_DOMAIN
     seeds = [scenario.seed + i for i in range(1 if args.seeds is None else args.seeds)]
     out_root = Path(args.out)
+    text = ScenarioText.of(scenario)
     # each run is written as it arrives, so the runs before a diverged seed
     # keep their outputs; a single run writes to the output directory itself
     for seed, result in zip(seeds, run_batch(scenario, seeds)):
-        s = dataclasses.replace(scenario, seed=seed)
         out_dir = out_root if args.seeds is None else out_root / f"seed_{seed}"
-        summary = write_run_outputs(result, s, out_dir, args.format)
-        kf = summary["metrics"]["kalman"]
+        kf = write_run_outputs(result, text, out_dir, args.format, seed)["kalman"]
         print(f"seed {seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
     return EXIT_OK
@@ -427,9 +474,10 @@ def cmd_scan(args) -> int:
     selected = select_channel(report)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [[r.channel.index, r.channel.center_mhz, r.mean_energy, r.variance]
+    rows = [(r.channel.index, r.channel.center_mhz, r.mean_energy, r.variance)
             for r in report.records]
-    _write_csv(out_dir / "scan.csv", ["channel", "center_mhz", "mean_dbm", "variance_db2"], rows)
+    _write_csv(out_dir / "scan.csv", ["channel", "center_mhz", "mean_dbm", "variance_db2"],
+               [np.array(column) for column in zip(*rows)])
     print(f"selected channel: {selected.index}")
     return EXIT_OK
 
@@ -456,8 +504,9 @@ def cmd_deploy(args) -> int:
     ok, uncovered = verify_three_coverage(plan, roi, args.range_m, args.grid_step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [[i, p.x, p.y] for i, p in enumerate(plan.positions)]
-    _write_csv(out_dir / "beacons.csv", ["id", "x", "y"], rows)
+    _write_csv(out_dir / "beacons.csv", ["id", "x", "y"],
+               [np.arange(len(plan.positions)), np.array([p.x for p in plan.positions]),
+                np.array([p.y for p in plan.positions])])
     _write_json(out_dir / "coverage.json", {
         "covered": ok,
         "beacons": len(plan.positions),
@@ -485,10 +534,9 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    errors = _cells(np.column_stack([step_errors(result, flavor) for flavor in FLAVORS]))
-    rows = [[step, *row] for step, row in enumerate(errors)]
-    _write_csv(out_dir / "compare.csv",
-               ["step", "error_raw_m", "error_avg_m", "error_kf_m"], rows)
+    _write_csv(out_dir / "compare.csv", ["step", "error_raw_m", "error_avg_m", "error_kf_m"],
+               [np.arange(len(result.true)),
+                *(step_errors(result, flavor) for flavor in FLAVORS)])
     _write_json(out_dir / "metrics.json", metrics)
     for flavor in FLAVORS:
         rmse = metrics[flavor]["rmse_m"]
@@ -500,7 +548,9 @@ def cmd_compare(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rssiloc",
         description="RSSI localization simulator: channel selection, "

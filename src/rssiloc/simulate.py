@@ -16,7 +16,8 @@ seeds x steps rather than step by step:
 
     draw       per seed and step, in a lone run's order: the packet
                uniforms, the monitor and any rescan, then one window of
-               shadowing normals per beacon into a buffer
+               shadowing normals per beacon into a buffer; with no
+               interferer, one draw per seed and step block
     stateless  readings, aggregation, top-3, ranging and lateration of
                both flavors as array expressions over (seeds, steps, ...)
     filter     T sequential EKF steps, each over every seed with a fix
@@ -346,9 +347,19 @@ def _run_chunk(s: Scenario, seeds: list[int], block: int):
     monitors = [ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)),
                                MONITOR_WINDOW, MONITOR_FAILURE_THRESHOLD) for rng in rngs]
     noise = np.empty((n_seeds, block, n_beacons, s.aggregation_window))
+    # With no interferer a packet's draw is empty, which leaves the
+    # generator as it was, and the packet never fails, so the channel
+    # stays put; a seed's noise for a block is then one draw, bit-equal
+    # to one window draw per step.
+    quiet = not s.environment.interferers
     for t0 in range(0, n_steps, block):
         t1 = min(t0 + block, n_steps)
         for b, (rng, monitor) in enumerate(zip(rngs, monitors)):
+            if quiet:
+                channel[b, t0:t1] = monitor.active_channel.index
+                noise[b, :t1 - t0] = rng.normal(0.0, s.shadowing.sigma,
+                                                (t1 - t0, *noise.shape[2:]))
+                continue
             for t in range(t0, t1):
                 # Fig.-3 loop: one packet exchange per step on the active
                 # channel, rescan when the failure window trips.
@@ -416,14 +427,18 @@ def _filter(cfg: KalmanConfig, averaged, status, anchor_x, anchor_y, ranges):
     steps = fix & (np.arange(n_steps) > first[:, None])
     diverged_at = np.full(n_seeds, -1)
     for t in np.flatnonzero(steps.any(axis=0)).tolist():
-        rows = np.flatnonzero(steps[:, t])
-        if not rows.size:
+        stepping = np.count_nonzero(steps[:, t])
+        if not stepping:
             continue
+        # a step where every seed steps takes the whole arrays, without
+        # the gather and scatter
+        rows = slice(None) if stepping == n_seeds else np.flatnonzero(steps[:, t])
         step_status, new_pos, new_cov = kernels.ekf_step_batch(
             pos[rows], cov[rows], anchor_x[rows, t], anchor_y[rows, t], ranges[rows, t],
             cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
         )
         if np.count_nonzero(step_status):
+            rows = np.flatnonzero(steps[:, t])  # indices, where a slice took every seed
             ok = step_status == 0
             # a prediction landing on an anchor keeps the previous state
             # and leaves this step's filtered estimate absent
@@ -467,7 +482,7 @@ def compute_metrics(result: RunResult, flavor: str) -> Metrics:
         rmse=float(np.sqrt(np.mean(arr * arr))),
         mean_error=float(arr.mean()),
         max_error=float(arr.max()),
-        error_cdf=tuple(float(e) for e in np.sort(arr)),
+        error_cdf=tuple(np.sort(arr).tolist()),
         resolved_steps=arr.size,
         unresolved_steps=errors.size - arr.size,
     )

@@ -59,8 +59,9 @@ class KalmanConfig:
         object.__setattr__(self, "control", _frozen_array(self.control, (2,)))
         object.__setattr__(self, "process_noise", _frozen_array(self.process_noise, (2, 2)))
         r = np.array(self.measurement_noise, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError(f"measurement_noise must be square, got shape {r.shape}")
+        if r.shape != (3, 3):
+            raise ValueError("measurement_noise must be 3 x 3, as the filter takes three "
+                             f"ranges, got shape {r.shape}")
         r.flags.writeable = False
         object.__setattr__(self, "measurement_noise", r)
         for name in ("state_transition", "control", "process_noise", "measurement_noise"):

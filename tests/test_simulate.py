@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssiloc import kernels, simulate
 from rssiloc.channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
@@ -508,12 +508,21 @@ def batch_scenes(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(batch_scenes())
-def test_run_batch_matches_per_step_loop(scene):
+@given(batch_scenes(), st.sampled_from((None, 1, 3)))
+@example(scene=(triangle_scenario(0, steps=7, sigma=2.0), [3, 4]), block=1)
+@example(scene=(triangle_scenario(0, steps=7, sigma=2.0), [3, 4]), block=3)
+def test_run_batch_matches_per_step_loop(scene, block):
     # every column of every seed, status included, bit for bit; a
-    # divergence stops the batch at the same seed and step
+    # divergence stops the batch at the same seed and step. A step block
+    # of one or three steps (None keeps the default bound) splits the
+    # draws, which with no interferer are one per seed and block.
     s, seeds = scene
-    assert_same_runs(batch_sweep(s, seeds), oracle_sweep(s, seeds))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(simulate, "STEP_BLOCK_READINGS",
+                       len(seeds) * block * len(s.beacons) * s.aggregation_window)
+        got = batch_sweep(s, seeds)
+    assert_same_runs(got, oracle_sweep(s, seeds))
 
 
 @settings(max_examples=30, deadline=None)

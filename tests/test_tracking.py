@@ -216,6 +216,15 @@ def test_config_validation():
         KalmanConfig(process_noise=-np.eye(2))  # negative semidefinite
 
 
+@pytest.mark.parametrize("r", [np.eye(4), np.eye(2), np.ones(3), 1.0, np.eye(3)[None]],
+                         ids=["4x4", "2x2", "vector", "scalar", "stacked"])
+def test_measurement_noise_must_fit_three_ranges(r):
+    # the filter corrects with three ranges, so any other R would only
+    # fail later, inside a run's filter stage
+    with pytest.raises(ValueError, match="three ranges"):
+        KalmanConfig(measurement_noise=r)
+
+
 def test_update_raises_on_divergence():
     # an infinite range leaves no finite correction
     state = KalmanState(np.array([10.0, 12.0]), np.eye(2))
