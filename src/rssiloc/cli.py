@@ -376,23 +376,18 @@ def _values(column: np.ndarray) -> list:
     return values.tolist()
 
 
-@dataclasses.dataclass(frozen=True)
 class ScenarioText:
     """Output text that every run of one scenario shares, so a sweep
-    encodes it once: the config echo's fields as summary.json text (each
-    run sets its own seed) and the step, true_x and true_y cells of
-    steps.csv."""
+    encodes it once: `config`, the config echo's fields as summary.json
+    text (each run sets its own seed), and `step_cells`, the step, true_x
+    and true_y cells of steps.csv."""
 
-    config: dict[str, _Json]
-    step_cells: list[list[str]]
-
-    @classmethod
-    def of(cls, s: Scenario) -> ScenarioText:
-        config = {key: _Json(_encode(value, "    "))
-                  for key, value in scenario_to_dict(s).items()}
+    def __init__(self, s: Scenario):
+        self.config = {key: _Json(_encode(value, "    "))
+                       for key, value in scenario_to_dict(s).items()}
         true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
-        steps = list(map(str, range(len(true))))
-        return cls(config, [steps, _cells(true[:, 0]), _cells(true[:, 1])])
+        self.step_cells = [list(map(str, range(len(true)))), _cells(true[:, 0]),
+                           _cells(true[:, 1])]
 
 
 def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt: str,
@@ -456,7 +451,7 @@ def cmd_simulate(args) -> int:
         return EXIT_DOMAIN
     seeds = [scenario.seed + i for i in range(1 if args.seeds is None else args.seeds)]
     out_root = Path(args.out)
-    text = ScenarioText.of(scenario)
+    text = ScenarioText(scenario)
     # each run is written as it arrives, so the runs before a diverged seed
     # keep their outputs; a single run writes to the output directory itself
     for seed, result in zip(seeds, run_batch(scenario, seeds)):

@@ -464,8 +464,8 @@ def step_errors(result: RunResult, flavor: str) -> np.ndarray:
     has no such estimate."""
     if flavor not in FLAVORS:
         raise ValueError(f"unknown estimate flavor {flavor!r}")
-    delta = getattr(result, flavor) - result.true
-    return np.array([math.hypot(dx, dy) for dx, dy in delta.tolist()])
+    dx, dy = (getattr(result, flavor) - result.true).T.tolist()
+    return np.array(list(map(math.hypot, dx, dy)))
 
 
 def compute_metrics(result: RunResult, flavor: str) -> Metrics:
