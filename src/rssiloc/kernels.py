@@ -15,8 +15,10 @@ along the last axis of any array, lateration_batch solves every row of
 (..., k) anchor sets, and ekf_step_batch / ekf_correct_batch advance a
 (B, ...) stack of filters. Each row keeps the bits of the same
 operation on that row alone, so one implementation serves the seed-
-batched simulator and the one-at-a-time public functions:
-lateration_solve, ekf_correct and ekf_step are batch-of-one views.
+batched simulator and the one-at-a-time public functions, which call
+them on one-row stacks. The batch-of-one views lateration_solve and
+ekf_step remain because the perfbench tracer wraps them by name; they
+go with ROADMAP item 1.
 
 Kernels take plain floats and numpy arrays, trust their inputs and
 return status flags instead of raising. The public functions in
@@ -35,8 +37,8 @@ import numpy as np
 __all__ = [
     "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "censored",
     "db_mean", "top_k", "lateration_batch", "lateration_solve", "ekf_predict",
-    "range_jacobian", "ekf_gain", "ekf_correct_batch", "ekf_correct", "ekf_step_batch",
-    "ekf_step", "coverage_counts", "lattice_coverage_counts",
+    "range_jacobian", "ekf_gain", "ekf_correct_batch", "ekf_step_batch", "ekf_step",
+    "coverage_counts", "lattice_coverage_counts",
 ]
 
 _COVERAGE_CHUNK = 1 << 16
@@ -192,17 +194,19 @@ def range_jacobian(pred, ax, ay):
     on_anchor = np.logical_or.reduce(ranges < _ANCHOR_EPS, axis=-1)
     # ranges off an anchor divide as they are; max() only keeps an anchor
     # hit from dividing by zero
-    h = np.concatenate((dx[..., None], dy[..., None]), axis=-1)
-    h /= np.maximum(ranges, _ANCHOR_EPS)[..., None]
-    h[on_anchor] = 0.0
+    h = np.stack((dx, dy), axis=-1) / np.maximum(ranges, _ANCHOR_EPS)[..., None]
+    if np.count_nonzero(on_anchor):
+        h[on_anchor] = 0.0
     return on_anchor.astype(np.int8), h, ranges
 
 
 def ekf_gain(cov, h, r):
-    """Kalman gain E H^T (H E H^T + R)^-1; raises LinAlgError when the
-    innovation covariance is singular."""
-    ht = np.swapaxes(h, -1, -2)
-    return cov @ ht @ np.linalg.inv(h @ cov @ ht + r)
+    """Kalman gain E H^T (H E H^T + R)^-1 of a (B, ...) stack. Returns
+    (singular, gain), singular as _inverse_rows gives it for H E H^T + R;
+    a singular row's gain is taken with a zero inverse."""
+    ht = h.swapaxes(-1, -2)
+    singular, s_inv = _inverse_rows(h @ cov @ ht + r)
+    return singular, cov @ ht @ s_inv
 
 
 def _inverse_rows(m):
@@ -233,30 +237,19 @@ def ekf_correct_batch(pred, pcov, ax, ay, z, r):
     an anchor, 2 a singular innovation covariance or a corrected position
     outside the float range (a diverged filter). Rows never mix."""
     status, h, ranges = range_jacobian(pred, ax, ay)
-    ht = h.swapaxes(-1, -2)
-    singular, s_inv = _inverse_rows(h @ pcov @ ht + r)
-    k = pcov @ ht @ s_inv
+    singular, k = ekf_gain(pcov, h, r)
     new_pos = pred + (k @ (z - ranges)[..., None])[..., 0]
     new_cov = (_EYE2 - k @ h) @ pcov
     new_cov = 0.5 * (new_cov + new_cov.swapaxes(-1, -2))
     diverged = ~np.logical_and.reduce(np.isfinite(new_pos), axis=-1)
     if singular is not None:
         diverged |= singular
-    status[(status == 0) & diverged] = 2
-    failed = status != 0
-    if np.count_nonzero(failed):
+    if np.count_nonzero(status) or np.count_nonzero(diverged):
+        status[(status == 0) & diverged] = 2
+        failed = status != 0
         new_pos[failed] = pred[failed]
         new_cov[failed] = pcov[failed]
     return status, new_pos, new_cov
-
-
-def ekf_correct(pred, pcov, ax, ay, z, r):
-    """ekf_correct_batch for one filter. Returns (status, pos, cov); on a
-    non-zero status, `pred` and `pcov` themselves."""
-    status, pos, cov = ekf_correct_batch(pred[None], pcov[None], ax[None], ay[None], z[None], r)
-    if status[0] != 0:
-        return int(status[0]), pred, pcov
-    return 0, pos[0], cov[0]
 
 
 def ekf_step_batch(pos, cov, ax, ay, z, st, ctrl, q, r):

@@ -85,8 +85,9 @@ class KalmanState:
     def __post_init__(self):
         object.__setattr__(self, "position", _frozen_array(self.position, (2,)))
         object.__setattr__(self, "covariance", _frozen_array(self.covariance, (2, 2)))
-        if np.isnan(self.position).any():
-            raise ValueError("position must not be NaN")
+        for name in ("position", "covariance"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, not NaN or infinite")
         _check_symmetric(self.covariance, "covariance")
         if np.linalg.eigvalsh(self.covariance).min() < -1e-9:
             raise ValueError("covariance must be (numerically) positive semidefinite")
@@ -136,11 +137,13 @@ def observation_jacobian(predicted: np.ndarray, anchors: np.ndarray) -> np.ndarr
 
 
 def gain(covariance: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Kalman gain E H^T (H E H^T + R)^-1."""
+    """Kalman gain E H^T (H E H^T + R)^-1; LinAlgError if H E H^T + R is singular."""
     covariance = np.asarray(covariance, dtype=float)
     h = np.asarray(h, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return kernels.ekf_gain(covariance, h, r)
+    singular, k = kernels.ekf_gain(covariance[None], h[None], r)
+    if singular is not None:
+        raise np.linalg.LinAlgError("innovation covariance H E H^T + R is singular")
+    return k[0]
 
 
 def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:
@@ -151,15 +154,15 @@ def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) ->
     prediction leaves the position exactly unchanged.
     """
     anchors = meas.anchor_xy()
-    status, position, covariance = kernels.ekf_correct(
-        predicted.position, predicted.covariance,
-        anchors[:, 0], anchors[:, 1], meas.ranges, cfg.measurement_noise,
+    status, position, covariance = kernels.ekf_correct_batch(
+        predicted.position[None], predicted.covariance[None],
+        anchors[None, :, 0], anchors[None, :, 1], meas.ranges[None], cfg.measurement_noise,
     )
-    if status == 2:
+    if status[0] == 2:
         raise FilterDivergenceError("innovation covariance singular or state not finite")
-    if status != 0:
+    if status[0] != 0:
         raise SingularGeometryError("predicted position coincides with an anchor")
-    return KalmanState(position, covariance)
+    return KalmanState(position[0], covariance[0])
 
 
 def filter_step(state: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:

@@ -435,9 +435,10 @@ def test_ekf_step_flags_anchor_coincidence():
 ])
 def test_ekf_correct_flags_divergence(cov, z, r):
     pred = np.array([10.0, 10.0])
-    status, pos, out_cov = kernels.ekf_correct(pred, cov, EKF_AX, EKF_AY, z, r)
-    assert status == 2
-    assert pos is pred and out_cov is cov
+    status, pos, out_cov = kernels.ekf_correct_batch(
+        pred[None], cov[None], EKF_AX[None], EKF_AY[None], z[None], r)
+    assert status.tolist() == [2]
+    assert pos[0].tobytes() == pred.tobytes() and out_cov[0].tobytes() == cov.tobytes()
 
 
 def test_range_jacobian_rows_and_ranges():

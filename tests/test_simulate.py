@@ -730,7 +730,6 @@ def test_compare_noise_suppression_ordering():
     assert avg.rmse > 1.05 * kf.rmse
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0])
 def test_smoothing_ordering_across_seeds(sigma):
     wins = 0

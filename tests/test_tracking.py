@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rssiloc import kernels
 from rssiloc.errors import FilterDivergenceError, SingularGeometryError
 from rssiloc.geometry import AnchorNode, Point2D
 from rssiloc.tracking import (
@@ -107,6 +108,23 @@ def test_gain_shrinks_with_measurement_distrust():
     k2 = gain(np.eye(2), h, 1e6 * np.eye(3))
     ratio = np.linalg.norm(k1) / np.linalg.norm(k2)
     assert 0.3e6 < ratio < 3e6
+
+
+def test_public_gain_is_the_kernel_gain():
+    # tracking.gain is kernels.ekf_gain on one row: the same bits as that
+    # row of a batch, and a singular H E H^T + R raises
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, (50, 2, 2))
+    cov = a @ a.transpose(0, 2, 1)
+    h = rng.normal(size=(50, 3, 2))
+    b = rng.normal(size=(3, 3))
+    r = b @ b.T + np.eye(3)
+    singular, k = kernels.ekf_gain(cov, h, r)
+    assert singular is None
+    for i in range(50):
+        assert gain(cov[i], h[i], r).tobytes() == k[i].tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        gain(np.zeros((2, 2)), h[0], np.zeros((3, 3)))
 
 
 def test_gain_continuity_in_r():
@@ -242,6 +260,20 @@ def test_update_raises_on_divergence():
 def test_nan_is_rejected(build):
     with pytest.raises(ValueError, match="NaN|> 0"):
         build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, position, covariance", [
+    ("position", [np.inf, 1.0], np.eye(2)),
+    ("position", [1.0, -np.inf], np.eye(2)),
+    ("covariance", [1.0, 1.0], np.full((2, 2), np.inf)),
+    ("covariance", [1.0, 1.0], [[1.0, np.nan], [np.nan, 1.0]]),
+], ids=["position_inf", "position_minus_inf", "covariance_inf", "covariance_nan"])
+def test_non_finite_state_is_rejected(field, position, covariance):
+    # rejected where it is built, naming the field, before any arithmetic
+    # can warn about it
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        KalmanState(np.array(position), np.array(covariance))
 
 
 def test_measurement_validation():
