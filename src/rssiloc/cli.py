@@ -10,9 +10,9 @@ _FIELDS, lays the schema out. Unknown fields are rejected, missing
 optional fields take library defaults, and `seed` is required.
 
 Exit codes: 0 success; 2 malformed input, including any value a library
-type rejects (the message names its field path); 3 domain failure: no
-three-beacon coverage, no resolved step, a diverged filter, or a plan
-or verification lattice over its capacity; 1 internal error.
+type rejects (the message names its field path) or an unwritable --out;
+3 domain failure: no three-beacon coverage, no resolved step, a diverged
+filter, or a plan or verification lattice over its capacity; 1 internal error.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ScenarioFileError(Exception):
 # scenario file parsing
 
 # Caps on the sizes the input sets, checked before anything is allocated:
-# the static shorthand's step count, the samples drawn per scan channel or
+# the trajectory's step count, the samples drawn per scan channel or
 # per aggregation window, the interferer count (a scan draws 16 x samples
 # x interferers uniforms at once), the seeds of a `--seeds` sweep, the
 # beacon count, and trajectory steps x beacons (a run holds one float of
@@ -176,7 +176,7 @@ def _trajectory(obj, path) -> tuple[Point2D, ...]:
         point = _point(obj["static"], f"{path}.static")
         return (point,) * _count(MAX_STEPS)(obj["steps"], f"{path}.steps")
     if isinstance(obj, list):
-        return _list_of(_point)(obj, path)
+        return _list_of(_point, MAX_STEPS)(obj, path)
     raise ScenarioFileError(f"{path}: expected a waypoint list or a static shorthand")
 
 
@@ -597,6 +597,9 @@ def main(argv: list[str] | None = None) -> int:
     except LocalizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:  # load_scenario reports read errors, so this is --out
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

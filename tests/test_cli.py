@@ -367,6 +367,21 @@ def test_steps_times_beacons_over_cap_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_waypoint_list_over_cap_exits_2(tmp_path, capsys):
+    # a waypoint list takes the step cap of the static shorthand
+    doc = json.loads(write_scenario(tmp_path / "s.json").read_text())
+    doc["trajectory_m"] = [[12.0, 9.0]] * cli.MAX_STEPS
+    assert len(parse_scenario(doc).trajectory) == cli.MAX_STEPS
+    doc["trajectory_m"].append([12.0, 9.0])
+    scn = tmp_path / "over.json"
+    scn.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"error: $.trajectory_m: must hold at most {cli.MAX_STEPS} entries")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [cli.MAX_SEEDS + 1, 10**18])
 def test_simulate_seed_sweep_rejects_count_over_cap(tmp_path, capsys, count):
     scn = write_scenario(tmp_path / "s.json")
@@ -426,6 +441,26 @@ def test_domain_failures_exit_3(tmp_path, capsys, case):
     assert "internal error" not in capsys.readouterr().err
     # a failed run leaves no half-written outputs
     assert not (tmp_path / "o" / "steps.csv").exists()
+
+
+LONG_SEED = "9" * 300
+
+
+@pytest.mark.parametrize("argv, out, unwritable", [
+    (["simulate"], "file/out", "file/out"),
+    (["scan"], "file/out", "file/out"),
+    (["deploy", "--roi", "60x40", "--range-m", "25"], "file/out", "file/out"),
+    (["compare"], "file/out", "file/out"),
+    (["simulate", "--seeds", "2", "--seed", LONG_SEED], "o", f"o/seed_{LONG_SEED}"),
+], ids=["simulate", "scan", "deploy", "compare", "seed_dir_name"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, out, unwritable):
+    # an --out below a regular file, or a seed directory whose name is
+    # longer than the file system allows, is bad input, not an internal error
+    (tmp_path / "file").write_text("")
+    if argv[0] != "deploy":
+        argv = argv + ["--scenario", str(write_scenario(tmp_path / "s.json"))]
+    assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / unwritable}: ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
