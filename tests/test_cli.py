@@ -434,6 +434,45 @@ def test_precheck_uses_the_sensitivity_reach(tmp_path, capsys):
     assert not out.exists()
 
 
+def _uncovered_report(what, points) -> str:
+    lines = [f"error: {what}: {len(points)} point(s) lack three-beacon coverage"]
+    lines += [f"  uncovered: ({x}, {y})" for x, y in points[:20]]
+    return "\n".join(lines + [f"  ... and {len(points) - 20} more"]) + "\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_precheck_failure_output(tmp_path, capsys, command):
+    # 23 distinct waypoints beyond every beacon's reach, the first repeated:
+    # the report lists each point once, the first 20 of them by name
+    points = [(400.0 + i, 450.0) for i in range(23)]
+    scn = write_scenario(tmp_path / "s.json",
+                         roi_m={"x_min": 0, "y_min": 0, "x_max": 500, "y_max": 500},
+                         trajectory_m=[list(points[0])] + [list(p) for p in points])
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scn), "--out", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _uncovered_report("trajectory coverage precheck failed", points)
+    assert not out.exists()
+
+
+def test_deploy_verification_failure_output(tmp_path, capsys, monkeypatch):
+    # no shipped input makes a planned grid fail its check, so the verifier
+    # reports 21 uncovered points; the plan and verdict are still written
+    points = [(0.25 * i, 1.5) for i in range(21)]
+    monkeypatch.setattr(cli, "verify_three_coverage",
+                        lambda *args: (False, [Point2D(x, y) for x, y in points]))
+    out = tmp_path / "o"
+    assert main(["deploy", "--roi", "30x30", "--range-m", "25", "--out", str(out)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "9 beacons at spacing (15, 15) m; coverage FAIL\n"
+    assert captured.err == _uncovered_report("deployment verification failed", points)
+    assert len((out / "beacons.csv").read_text().splitlines()) == 10
+    verdict = json.loads((out / "coverage.json").read_text())
+    assert verdict["covered"] is False
+    assert verdict["uncovered_points"] == [list(p) for p in points]
+
+
 @pytest.mark.parametrize("case", sorted(DOMAIN_FAILURES))
 def test_domain_failures_exit_3(tmp_path, capsys, case):
     argv = DOMAIN_FAILURES[case](tmp_path)
