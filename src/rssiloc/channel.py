@@ -93,6 +93,7 @@ class ChannelMonitor:
 
     Single-owner mutable state; a rescan is requested only once the
     window is full and the failure ratio strictly exceeds the threshold.
+    The defaults are the Fig.-3 window and threshold that runs use.
     """
 
     def __init__(
@@ -109,19 +110,14 @@ class ChannelMonitor:
         self.window_size = window_size
         self.failure_threshold = failure_threshold
         self._outcomes: deque[bool] = deque(maxlen=window_size)
-        self._failures = 0  # failed outcomes in the window
 
     def record_packet_outcome(self, success: bool) -> None:
-        if len(self._outcomes) == self.window_size and not self._outcomes[0]:
-            self._failures -= 1  # the append evicts a failure
         self._outcomes.append(success)
-        if not success:
-            self._failures += 1
 
     def failure_ratio(self) -> float:
         if not self._outcomes:
             return 0.0
-        return self._failures / len(self._outcomes)
+        return self._outcomes.count(False) / len(self._outcomes)
 
     def should_rescan(self) -> bool:
         if len(self._outcomes) < self.window_size:
@@ -132,4 +128,3 @@ class ChannelMonitor:
         """Activate a new channel and clear the packet window."""
         self.active_channel = channel
         self._outcomes.clear()
-        self._failures = 0

@@ -410,10 +410,10 @@ def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt:
     return metrics
 
 
-def _coverage_precheck(s: Scenario) -> list[Point2D]:
-    """Trajectory points not within reach of >= 3 beacons. A beacon's reach
-    is the lower of the radio's planning range and the distance at which
-    the path-loss mean falls to the receiver sensitivity."""
+def _coverage_precheck(s: Scenario) -> None:
+    """Fail on the trajectory points not within reach of >= 3 beacons. A
+    beacon's reach is the lower of the radio's planning range and the
+    distance at which the path-loss mean falls to the receiver sensitivity."""
     pl = s.path_loss
     with np.errstate(over="ignore"):  # a reach beyond the float range is inf
         heard = kernels.path_loss_range(np.float64(s.radio.sensitivity), pl.rssi_at_ref,
@@ -425,30 +425,29 @@ def _coverage_precheck(s: Scenario) -> list[Point2D]:
     by = np.array([b.position.y for b in s.beacons])
     counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
     bad = counts < 3
-    return [Point2D(*p) for p in dict.fromkeys(zip(px[bad].tolist(), py[bad].tolist()))]
+    if bad.any():
+        raise _coverage_failure("trajectory coverage precheck failed", [
+            Point2D(*p) for p in dict.fromkeys(zip(px[bad].tolist(), py[bad].tolist()))])
 
 
-def _report_uncovered(uncovered: list[Point2D], what: str) -> None:
-    print(f"error: {what}: {len(uncovered)} point(s) lack three-beacon coverage",
-          file=sys.stderr)
-    for p in uncovered[:20]:
-        print(f"  uncovered: ({p.x}, {p.y})", file=sys.stderr)
+def _coverage_failure(what: str, uncovered: list[Point2D]) -> LocalizationError:
+    """The error naming the points that lack three-beacon coverage."""
+    lines = [f"{what}: {len(uncovered)} point(s) lack three-beacon coverage"]
+    lines += [f"  uncovered: ({p.x}, {p.y})" for p in uncovered[:20]]
     if len(uncovered) > 20:
-        print(f"  ... and {len(uncovered) - 20} more", file=sys.stderr)
+        lines.append(f"  ... and {len(uncovered) - 20} more")
+    return LocalizationError("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if args.seeds is not None and not 1 <= args.seeds <= MAX_SEEDS:
         raise ScenarioFileError(f"--seeds must be in [1, {MAX_SEEDS}], got {args.seeds}")
     scenario = load_scenario(Path(args.scenario), args.seed)
-    uncovered = _coverage_precheck(scenario)
-    if uncovered:
-        _report_uncovered(uncovered, "trajectory coverage precheck failed")
-        return EXIT_DOMAIN
+    _coverage_precheck(scenario)
     seeds = [scenario.seed + i for i in range(1 if args.seeds is None else args.seeds)]
     out_root = Path(args.out)
     text = ScenarioText(scenario)
@@ -459,10 +458,9 @@ def cmd_simulate(args) -> int:
         kf = write_run_outputs(result, text, out_dir, args.format, seed)["kalman"]
         print(f"seed {seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
-    return EXIT_OK
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> None:
     scenario = load_scenario(Path(args.scenario), args.seed)
     rng = np.random.default_rng(scenario.seed)
     report = scan_all_channels(scenario.environment, scenario.scan, rng)
@@ -474,7 +472,6 @@ def cmd_scan(args) -> int:
     _write_csv(out_dir / "scan.csv", ["channel", "center_mhz", "mean_dbm", "variance_db2"],
                [np.array(column) for column in zip(*rows)])
     print(f"selected channel: {selected.index}")
-    return EXIT_OK
 
 
 def _parse_roi(text: str) -> Rect:
@@ -487,7 +484,7 @@ def _parse_roi(text: str) -> Rect:
     return Rect(0.0, 0.0, w, h)
 
 
-def cmd_deploy(args) -> int:
+def cmd_deploy(args) -> None:
     roi = _parse_roi(args.roi)
     if not 0 < args.range_m < math.inf:
         raise ScenarioFileError(f"--range-m must be finite and > 0, got {args.range_m}")
@@ -513,17 +510,12 @@ def cmd_deploy(args) -> int:
           f"({plan.spacing_x:.4g}, {plan.spacing_y:.4g}) m; "
           f"coverage {'pass' if ok else 'FAIL'}")
     if not ok:
-        _report_uncovered(uncovered, "deployment verification failed")
-        return EXIT_DOMAIN
-    return EXIT_OK
+        raise _coverage_failure("deployment verification failed", uncovered)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     s = load_scenario(Path(args.scenario), args.seed)
-    uncovered = _coverage_precheck(s)
-    if uncovered:
-        _report_uncovered(uncovered, "trajectory coverage precheck failed")
-        return EXIT_DOMAIN
+    _coverage_precheck(s)
     result = run_scenario(s)
     metrics = _metrics_block(result)
     out_dir = Path(args.out)
@@ -536,7 +528,6 @@ def cmd_compare(args) -> int:
     for flavor in FLAVORS:
         rmse = metrics[flavor]["rmse_m"]
         print(f"{flavor:9s} rmse " + ("n/a" if rmse is None else f"{rmse:.4f} m"))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -603,6 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

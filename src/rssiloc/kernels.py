@@ -7,8 +7,8 @@ strongest-k ordering, the linearized lateration solve, and the range-EKF
 predict/correct step (Jacobian and gain included). Beacon-coverage
 counting lives here too, in two shapes: over a list of sample points
 (coverage_counts) and over a rectangular lattice, where each beacon is
-stamped only over the bounding box of its disc
-(lattice_coverage_counts).
+stamped only over the lattice points in the bounding box of its disc and
+a beacon whose box holds none is skipped (lattice_coverage_counts).
 
 The pipeline kernels are batch-shaped: aggregation and ordering work
 along the last axis of any array, lateration_batch solves every row of
@@ -139,7 +139,8 @@ def lateration_batch(ax, ay, d):
     # rows that fail compute garbage; their status reports it
     with np.errstate(all="ignore"):
         c0 = d[..., 0] * d[..., 0] - x0 * x0 - y0 * y0
-        s11 = s12 = s22 = t1 = t2 = 0.0
+        # arrays: with one anchor no row adds to them, and 0.0 / 0.0 would raise
+        s11 = s12 = s22 = t1 = t2 = np.zeros_like(x0)
         for i in range(1, ax.shape[-1]):
             xi, yi, di = ax[..., i], ay[..., i], d[..., i]
             a1 = 2.0 * (xi - x0)
@@ -293,34 +294,25 @@ def lattice_coverage_counts(xs, ys, bx, by, radius, cap):
     `cap`. Returns (len(ys), len(xs)) int64 counts, so `.ravel()` runs in
     the order of `np.meshgrid(xs, ys)` raveled.
 
-    Each beacon adds its disc over its bounding box only, testing
-    `ay + ax <= r2` on the squared axis offsets: the float expression
-    coverage_counts evaluates, so every count keeps its bits. The box
+    Each beacon adds its disc over its bounding box only (nothing when the
+    box holds no lattice point), testing `ay + ax <= r2` on the squared
+    axis offsets: the float expression coverage_counts evaluates, so
+    every count keeps its bits. The box
     drops no point that test would count: a point outside it has ax > r2
     or ay > r2, and fl(ax + ay) >= max(ax, ay) for these non-negative
     terms. Each span is contiguous: the axes ascend and fl(d * d) is
-    monotone in |d|, so ax and ay fall and then rise along their axis.
-    For the same reason the least of them sits next to the beacon's own
-    coordinate, which picks out the beacons with a non-empty box before
-    the per-beacon loop."""
+    monotone in |d|, so ax and ay fall and then rise along their axis."""
     counts = np.zeros((ys.shape[0], xs.shape[0]), dtype=np.int64)
     r2 = radius * radius
-    boxed = (_least_square(xs, bx) <= r2) & (_least_square(ys, by) <= r2)
-    for x, y in zip(bx[boxed].tolist(), by[boxed].tolist()):
+    for x, y in zip(bx.tolist(), by.tolist()):
         ax = (xs - x) * (xs - x)
         ay = (ys - y) * (ys - y)
         cols = np.flatnonzero(ax <= r2)
         rows = np.flatnonzero(ay <= r2)
+        if not (cols.size and rows.size):
+            continue  # the disc misses the lattice
         i0, i1 = cols[0], cols[-1] + 1
         j0, j1 = rows[0], rows[-1] + 1
         counts[j0:j1, i0:i1] += ay[j0:j1, None] + ax[None, i0:i1] <= r2
     return np.minimum(counts, cap)
 
-
-def _least_square(axis, v):
-    """Per value of v, the least (axis - v) * (axis - v) over the ascending
-    axis, taken from the axis points on either side of v."""
-    k = np.searchsorted(axis, v)
-    below = axis[np.maximum(k - 1, 0)]
-    above = axis[np.minimum(k, axis.shape[0] - 1)]
-    return np.minimum((below - v) * (below - v), (above - v) * (above - v))

@@ -70,11 +70,6 @@ __all__ = [
     "FLAVORS",
 ]
 
-# Fig.-3 monitoring defaults used by runs; standalone ChannelMonitor
-# instances take these as constructor arguments instead.
-MONITOR_WINDOW = 20
-MONITOR_FAILURE_THRESHOLD = 0.2
-
 # The estimate flavors a run records, in output order.
 FLAVORS = ("raw", "averaged", "kalman")
 
@@ -344,8 +339,8 @@ def _run_chunk(s: Scenario, seeds: list[int], block: int):
 
     # Draw stage: each seed's generator, called in the order of a lone run.
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    monitors = [ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)),
-                               MONITOR_WINDOW, MONITOR_FAILURE_THRESHOLD) for rng in rngs]
+    monitors = [ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)))
+                for rng in rngs]
     noise = np.empty((n_seeds, block, n_beacons, s.aggregation_window))
     # With no interferer a packet's draw is empty, which leaves the
     # generator as it was, and the packet never fails, so the channel

@@ -115,10 +115,13 @@ class RangeMeasurement:
 
 
 def predict(state: KalmanState, cfg: KalmanConfig) -> KalmanState:
-    """Prediction phase: propagate position, inflate covariance with Q."""
+    """Prediction phase: propagate position, inflate covariance with Q.
+    A prediction outside the float range is a diverged filter."""
     position, covariance = kernels.ekf_predict(
         state.position, state.covariance, cfg.state_transition, cfg.control, cfg.process_noise
     )
+    if not (np.isfinite(position).all() and np.isfinite(covariance).all()):
+        raise FilterDivergenceError("predicted state not finite")
     return KalmanState(position, covariance)
 
 

@@ -223,6 +223,18 @@ def test_unreachable_beacons_degrade_gracefully():
         compute_metrics(res, "kalman")
 
 
+@pytest.mark.parametrize("n_beacons", [1, 2])
+def test_fewer_than_three_beacons_resolve_no_step(n_beacons):
+    # every beacon heard, but too few of them: each step has status 1 and
+    # no estimate of any flavor
+    s = dataclasses.replace(triangle_scenario(seed=0, steps=6, sigma=2.0),
+                            beacons=TRIANGLE[:n_beacons])
+    res = run_scenario(s)
+    assert res.status.tolist() == [1] * 6
+    for flavor in ("raw", "averaged", "kalman"):
+        assert np.isnan(getattr(res, flavor)).all(), flavor
+
+
 def test_step_records_carry_aggregated_rssi():
     res = run_scenario(triangle_scenario(seed=3, steps=4))
     row = res.rssi[0]
@@ -320,9 +332,7 @@ def oracle_run(s):
     rng = np.random.default_rng(s.seed)
 
     report = scan_all_channels(s.environment, s.scan, rng)
-    monitor = ChannelMonitor(
-        select_channel(report), simulate.MONITOR_WINDOW, simulate.MONITOR_FAILURE_THRESHOLD
-    )
+    monitor = ChannelMonitor(select_channel(report))
 
     beacon_x = np.array([b.position.x for b in s.beacons])
     beacon_y = np.array([b.position.y for b in s.beacons])

@@ -251,6 +251,21 @@ def test_update_raises_on_divergence():
         update(state, meas, KalmanConfig())
 
 
+@pytest.mark.parametrize("position, covariance, transition", [
+    ([1e200, 1.0], np.eye(2), 1e200),  # the position overflows
+    ([1.0, 1.0], 1e300 * np.eye(2), 1e10),  # the covariance overflows
+], ids=["position", "covariance"])
+def test_predict_raises_on_divergence(position, covariance, transition):
+    # a finite state the transition carries outside the float range is a
+    # diverged filter, as the simulator's status 2 reports it, not bad input
+    state = KalmanState(np.array(position), covariance)
+    cfg = KalmanConfig(state_transition=transition * np.eye(2))
+    with pytest.raises(FilterDivergenceError):
+        predict(state, cfg)
+    with pytest.raises(FilterDivergenceError):
+        filter_step(state, measurement_at((12.0, 9.0)), cfg)
+
+
 @pytest.mark.parametrize("build", [
     lambda: KalmanState(np.array([np.nan, 1.0]), np.eye(2)),
     lambda: KalmanState(np.array([1.0, np.nan]), np.eye(2)),
