@@ -9,7 +9,7 @@ Library layout:
     localization  RSSI aggregation, anchor selection, lateration
     tracking      range-driven planar Kalman filter
     simulate      deployment planning and end-to-end scenario runs
-    kernels       numpy numeric cores shared by every layer
+    kernels       numeric cores shared by every layer
     cli           `rssiloc` command-line front end
 """
 

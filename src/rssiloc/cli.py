@@ -345,12 +345,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_encode(obj) + "\n")
 
 
-def _metrics_block(result: RunResult) -> dict:
+def _metrics_block(result: RunResult, errors: dict) -> dict:
     """Error statistics of each estimate flavor, as summary.json and
-    metrics.json carry them."""
+    metrics.json carry them, from each flavor's step errors."""
     block = {}
     for flavor in FLAVORS:
-        m = compute_metrics(result, flavor)
+        m = compute_metrics(result, flavor, errors[flavor])
         block[flavor] = {
             "rmse_m": m.rmse,
             "mean_error_m": m.mean_error,
@@ -360,6 +360,11 @@ def _metrics_block(result: RunResult) -> dict:
             "unresolved_steps": m.unresolved_steps,
         }
     return block
+
+
+def _step_errors(result: RunResult) -> dict:
+    """Each flavor's step errors, in FLAVORS order, computed once per run."""
+    return {flavor: step_errors(result, flavor) for flavor in FLAVORS}
 
 
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
@@ -395,7 +400,7 @@ def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt:
     """Write steps.<fmt> and summary.json of the run of this seed; returns
     its metrics block. A run where no step resolved raises before any file
     is written."""
-    metrics = _metrics_block(result)
+    metrics = _metrics_block(result, _step_errors(result))
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = [*result.raw.T, *result.averaged.T, *result.kalman.T, result.channel,
                result.resolved.astype(np.int64)]
@@ -415,15 +420,17 @@ def _coverage_precheck(s: Scenario) -> None:
     beacon's reach is the lower of the radio's planning range and the
     distance at which the path-loss mean falls to the receiver sensitivity."""
     pl = s.path_loss
-    with np.errstate(over="ignore"):  # a reach beyond the float range is inf
-        heard = kernels.path_loss_range(np.float64(s.radio.sensitivity), pl.rssi_at_ref,
-                                        pl.ref_distance, pl.exponent)
-    reach = min(s.radio.max_range, float(heard))
     px = np.array([p.x for p in s.trajectory])
     py = np.array([p.y for p in s.trajectory])
     bx = np.array([b.position.x for b in s.beacons])
     by = np.array([b.position.y for b in s.beacons])
-    counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
+    # a reach or a squared distance beyond the float range is inf, and
+    # compares as such
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        heard = kernels.path_loss_range(np.float64(s.radio.sensitivity), pl.rssi_at_ref,
+                                        pl.ref_distance, pl.exponent)
+        reach = min(s.radio.max_range, float(heard))
+        counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
     bad = counts < 3
     if bad.any():
         raise _coverage_failure("trajectory coverage precheck failed", [
@@ -517,13 +524,13 @@ def cmd_compare(args) -> None:
     s = load_scenario(Path(args.scenario), args.seed)
     _coverage_precheck(s)
     result = run_scenario(s)
-    metrics = _metrics_block(result)
+    errors = _step_errors(result)
+    metrics = _metrics_block(result, errors)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     _write_csv(out_dir / "compare.csv", ["step", "error_raw_m", "error_avg_m", "error_kf_m"],
-               [np.arange(len(result.true)),
-                *(step_errors(result, flavor) for flavor in FLAVORS)])
+               [np.arange(len(result.true)), *errors.values()])
     _write_json(out_dir / "metrics.json", metrics)
     for flavor in FLAVORS:
         rmse = metrics[flavor]["rmse_m"]

@@ -1,4 +1,4 @@
-"""The numeric cores of the package, one numpy implementation each.
+"""The numeric cores of the package, one implementation each.
 
 Every per-step operation of the receive-side pipeline lives here once:
 channel energy readings under interference, log-distance path loss and
@@ -10,19 +10,23 @@ counting lives here too, in two shapes: over a list of sample points
 stamped only over the lattice points in the bounding box of its disc and
 a beacon whose box holds none is skipped (lattice_coverage_counts).
 
-The pipeline kernels are batch-shaped: aggregation and ordering work
-along the last axis of any array, lateration_batch solves every row of
-(..., k) anchor sets, and ekf_step_batch / ekf_correct_batch advance a
-(B, ...) stack of filters. Each row keeps the bits of the same
-operation on that row alone, so one implementation serves the seed-
-batched simulator and the one-at-a-time public functions, which call
-them on one-row stacks. The batch-of-one views lateration_solve and
-ekf_step remain because the perfbench tracer wraps them by name; they
-go with ROADMAP item 1.
+The stateless kernels are numpy and batch-shaped: aggregation and
+ordering work along the last axis of any array, and lateration_batch
+solves every row of (..., k) anchor sets, each row with the bits of the
+same solve on that row alone. The batch-of-one view lateration_solve
+remains because the perfbench tracer wraps it by name; it goes with
+ROADMAP item 1.
 
-Kernels take plain floats and numpy arrays, trust their inputs and
-return status flags instead of raising. The public functions in
-radio/localization/tracking validate their arguments, call these
+The range filter is one filter on Python floats in closed form:
+ekf_predict, range_jacobian, ekf_gain and ekf_correct, composed by
+ekf_step. It calls no numpy, so a step costs a few microseconds, and
+its bits depend on IEEE double arithmetic alone. The simulator runs
+ekf_step once per seed and fix step; the public tracking functions run
+the same pieces.
+
+Kernels take plain floats, float sequences and numpy arrays, trust their
+inputs and return status flags instead of raising. The public functions
+in radio/localization/tracking validate their arguments, call these
 kernels and turn flags into exceptions; simulate calls the kernels
 directly on arrays it has already checked, keeping validation off the
 per-step path.
@@ -37,14 +41,13 @@ import numpy as np
 __all__ = [
     "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "censored",
     "db_mean", "top_k", "lateration_batch", "lateration_solve", "ekf_predict",
-    "range_jacobian", "ekf_gain", "ekf_correct_batch", "ekf_step_batch", "ekf_step",
+    "range_jacobian", "ekf_gain", "ekf_correct", "ekf_step",
     "coverage_counts", "lattice_coverage_counts",
 ]
 
 _COVERAGE_CHUNK = 1 << 16
 _COVERAGE_ELEMENTS = 1 << 24
 _ANCHOR_EPS = 1e-9
-_EYE2 = np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -169,103 +172,170 @@ def lateration_solve(ax, ay, d):
 # ---------------------------------------------------------------------------
 # range-driven planar Kalman filter
 #
-# The kernels take a stack of filters: positions (B, 2), covariances
-# (B, 2, 2), anchor coordinates and ranges (B, k), one shared transition,
-# control, Q and R. Products are stacked matmuls and inverses, which give
-# each row the bits of the same product on that row alone; the matrix-
-# vector products are written as (M @ v[..., None])[..., 0] for the same
-# reason (v @ M.T and einsum round differently from M @ v).
+# One filter on Python floats, written out in closed form. A 2 x 2 matrix
+# is a row-major 4-tuple (m00, m01, m10, m11) and the n x n measurement
+# noise a row-major sequence of n * n floats; anchor coordinates, ranges
+# and measured ranges are length-n sequences. Every product is a
+# left-to-right sum of float products, so a state's bits depend on IEEE
+# double arithmetic alone, not on the BLAS or LAPACK a host links. Float
+# arithmetic never raises or warns here: an overflow is inf, inf - inf is
+# NaN, and the status reports what they lead to.
 
 
-def ekf_predict(pos, cov, st, ctrl, q):
-    """Propagate the state through the transition matrix and inflate the
-    covariance with the process noise. Returns (pos, cov)."""
-    return (st @ pos[..., None])[..., 0] + ctrl, st @ cov @ st.T + q
+def ekf_predict(px, py, cov, st, ctrl, q):
+    """Propagate the state through the transition and inflate the
+    covariance with the process noise: (st p + ctrl, st E st^T + q).
+    Returns (px, py, cov)."""
+    s00, s01, s10, s11 = st
+    c00, c01, c10, c11 = cov
+    m00 = s00 * c00 + s01 * c10
+    m01 = s00 * c01 + s01 * c11
+    m10 = s10 * c00 + s11 * c10
+    m11 = s10 * c01 + s11 * c11
+    return (s00 * px + s01 * py + ctrl[0], s10 * px + s11 * py + ctrl[1],
+            (m00 * s00 + m01 * s01 + q[0], m00 * s10 + m01 * s11 + q[1],
+             m10 * s00 + m11 * s01 + q[2], m10 * s10 + m11 * s11 + q[3]))
 
 
-def range_jacobian(pred, ax, ay):
-    """Jacobian of the anchor-range map at `pred` and the ranges there.
+def range_jacobian(px, py, ax, ay):
+    """Jacobian of the anchor-range map at (px, py) and the ranges there.
 
-    Row i of h is the unit vector from anchor i toward `pred`. Returns
-    (status, h, ranges); status 1 flags `pred` on an anchor, where the
-    map is not differentiable, and that h is all zeros."""
-    dx = pred[..., 0, None] - ax
-    dy = pred[..., 1, None] - ay
-    ranges = np.sqrt(dx * dx + dy * dy)
-    on_anchor = np.logical_or.reduce(ranges < _ANCHOR_EPS, axis=-1)
-    # ranges off an anchor divide as they are; max() only keeps an anchor
-    # hit from dividing by zero
-    h = np.stack((dx, dy), axis=-1) / np.maximum(ranges, _ANCHOR_EPS)[..., None]
-    if np.count_nonzero(on_anchor):
-        h[on_anchor] = 0.0
-    return on_anchor.astype(np.int8), h, ranges
+    Row i of h is the unit vector (hx, hy) from anchor i toward the point.
+    Returns (status, h, ranges); status 1 flags the point on an anchor,
+    where the map is not differentiable, and then h and ranges are None."""
+    h = []
+    ranges = []
+    for x, y in zip(ax, ay):
+        dx = px - x
+        dy = py - y
+        d = math.sqrt(dx * dx + dy * dy)
+        if d < _ANCHOR_EPS:
+            return 1, None, None
+        h.append((dx / d, dy / d))
+        ranges.append(d)
+    return 0, h, ranges
 
 
 def ekf_gain(cov, h, r):
-    """Kalman gain E H^T (H E H^T + R)^-1 of a (B, ...) stack. Returns
-    (singular, gain), singular as _inverse_rows gives it for H E H^T + R;
-    a singular row's gain is taken with a zero inverse."""
-    ht = h.swapaxes(-1, -2)
-    singular, s_inv = _inverse_rows(h @ cov @ ht + r)
-    return singular, cov @ ht @ s_inv
+    """Kalman gain E H^T S^-1, S = H E H^T + R, for n rows h[i] = (hx, hy).
+    Returns (singular, k) with k the gain's two rows of n values; singular
+    is True, and k None, when det S is 0 or not finite.
+
+    For n = 3, the filter's case, S is inverted by cofactors, written out;
+    any other n takes Gauss-Jordan elimination with partial pivoting."""
+    if len(h) != 3:
+        return _gain_by_elimination(cov, h, r)
+    c00, c01, c10, c11 = cov
+    (h0x, h0y), (h1x, h1y), (h2x, h2y) = h
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    # E H^T, whose column j is E h_j: S[i][j] = h_i . E h_j + R[i][j]
+    a0 = c00 * h0x + c01 * h0y
+    a1 = c00 * h1x + c01 * h1y
+    a2 = c00 * h2x + c01 * h2y
+    b0 = c10 * h0x + c11 * h0y
+    b1 = c10 * h1x + c11 * h1y
+    b2 = c10 * h2x + c11 * h2y
+    s00 = h0x * a0 + h0y * b0 + r00
+    s01 = h0x * a1 + h0y * b1 + r01
+    s02 = h0x * a2 + h0y * b2 + r02
+    s10 = h1x * a0 + h1y * b0 + r10
+    s11 = h1x * a1 + h1y * b1 + r11
+    s12 = h1x * a2 + h1y * b2 + r12
+    s20 = h2x * a0 + h2y * b0 + r20
+    s21 = h2x * a1 + h2y * b1 + r21
+    s22 = h2x * a2 + h2y * b2 + r22
+    # the cofactors of the first row give the determinant
+    t00 = s11 * s22 - s12 * s21
+    t01 = s12 * s20 - s10 * s22
+    t02 = s10 * s21 - s11 * s20
+    det = s00 * t00 + s01 * t01 + s02 * t02
+    if det == 0.0 or not math.isfinite(det):
+        return True, None
+    # S^-1[i][j] is the cofactor of S[j][i] over det
+    i00 = t00 / det
+    i10 = t01 / det
+    i20 = t02 / det
+    i01 = (s02 * s21 - s01 * s22) / det
+    i11 = (s00 * s22 - s02 * s20) / det
+    i21 = (s01 * s20 - s00 * s21) / det
+    i02 = (s01 * s12 - s02 * s11) / det
+    i12 = (s02 * s10 - s00 * s12) / det
+    i22 = (s00 * s11 - s01 * s10) / det
+    return False, ((a0 * i00 + a1 * i10 + a2 * i20, a0 * i01 + a1 * i11 + a2 * i21,
+                    a0 * i02 + a1 * i12 + a2 * i22),
+                   (b0 * i00 + b1 * i10 + b2 * i20, b0 * i01 + b1 * i11 + b2 * i21,
+                    b0 * i02 + b1 * i12 + b2 * i22))
 
 
-def _inverse_rows(m):
-    """(singular, inverse) of a (B, n, n) stack: singular is None when no
-    matrix is, else a (B,) mask whose rows hold a zero inverse. Every
-    other row gets the inverse it would get alone."""
-    try:
-        return None, np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        pass
-    singular = np.zeros(m.shape[0], dtype=bool)
-    inverse = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        try:
-            inverse[i] = np.linalg.inv(m[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
-    return singular, inverse
+def _gain_by_elimination(cov, h, r):
+    """ekf_gain for n != 3: reduce [S | I] to [I | S^-1] by Gauss-Jordan
+    elimination with partial pivoting; det S is the signed product of the
+    pivots."""
+    c00, c01, c10, c11 = cov
+    e0 = [c00 * hx + c01 * hy for hx, hy in h]
+    e1 = [c10 * hx + c11 * hy for hx, hy in h]
+    n = len(h)
+    rows = [[hx * e0[j] + hy * e1[j] + r[i * n + j] for j in range(n)]
+            + [float(i == j) for j in range(n)] for i, (hx, hy) in enumerate(h)]
+    det = 1.0
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        p = rows[col][col]
+        if p == 0.0:
+            return True, None
+        det *= p
+        rows[col] = [v / p for v in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f != 0.0:
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
+    if not math.isfinite(det):
+        return True, None
+    return False, tuple(tuple(sum(e[i] * rows[i][n + j] for i in range(n)) for j in range(n))
+                        for e in (e0, e1))
 
 
-def ekf_correct_batch(pred, pcov, ax, ay, z, r):
-    """Correct a stack of predictions with measured anchor ranges z.
+def ekf_correct(px, py, cov, ax, ay, z, r):
+    """Correct a prediction with three measured anchor ranges z.
 
-    The innovation is z minus the ranges a prediction implies; the
+    The innovation is z minus the ranges the prediction implies; the
     covariance update (I - K H) E is symmetrized against drift. Returns
-    (status, pos, cov) with a (B,) int8 status, 0 on success. A row with
-    another status comes back as its prediction: 1 flags a prediction on
-    an anchor, 2 a singular innovation covariance or a corrected position
-    outside the float range (a diverged filter). Rows never mix."""
-    status, h, ranges = range_jacobian(pred, ax, ay)
-    singular, k = ekf_gain(pcov, h, r)
-    new_pos = pred + (k @ (z - ranges)[..., None])[..., 0]
-    new_cov = (_EYE2 - k @ h) @ pcov
-    new_cov = 0.5 * (new_cov + new_cov.swapaxes(-1, -2))
-    diverged = ~np.logical_and.reduce(np.isfinite(new_pos), axis=-1)
-    if singular is not None:
-        diverged |= singular
-    if np.count_nonzero(status) or np.count_nonzero(diverged):
-        status[(status == 0) & diverged] = 2
-        failed = status != 0
-        new_pos[failed] = pred[failed]
-        new_cov[failed] = pcov[failed]
-    return status, new_pos, new_cov
+    (status, px, py, cov), status 0 on success. Any other status comes
+    back with the prediction: 1 flags a prediction on an anchor, 2 a
+    singular innovation covariance or a corrected position outside the
+    float range (a diverged filter)."""
+    status, h, ranges = range_jacobian(px, py, ax, ay)
+    if status:
+        return 1, px, py, cov
+    singular, k = ekf_gain(cov, h, r)
+    if singular:
+        return 2, px, py, cov
+    (k00, k01, k02), (k10, k11, k12) = k
+    (h0x, h0y), (h1x, h1y), (h2x, h2y) = h
+    d0, d1, d2 = ranges
+    z0, z1, z2 = z
+    nx = px + (k00 * (z0 - d0) + k01 * (z1 - d1) + k02 * (z2 - d2))
+    ny = py + (k10 * (z0 - d0) + k11 * (z1 - d1) + k12 * (z2 - d2))
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        return 2, px, py, cov
+    c00, c01, c10, c11 = cov
+    # I - K H
+    a00 = 1.0 - (k00 * h0x + k01 * h1x + k02 * h2x)
+    a01 = -(k00 * h0y + k01 * h1y + k02 * h2y)
+    a10 = -(k10 * h0x + k11 * h1x + k12 * h2x)
+    a11 = 1.0 - (k10 * h0y + k11 * h1y + k12 * h2y)
+    off = 0.5 * ((a00 * c01 + a01 * c11) + (a10 * c00 + a11 * c10))
+    return 0, nx, ny, (a00 * c00 + a01 * c10, off, off, a10 * c01 + a11 * c11)
 
 
-def ekf_step_batch(pos, cov, ax, ay, z, st, ctrl, q, r):
-    """One predict-then-correct cycle over a stack of filters. Returns
-    (status, pos, cov) as ekf_correct_batch does."""
-    pred, pcov = ekf_predict(pos, cov, st, ctrl, q)
-    return ekf_correct_batch(pred, pcov, ax, ay, z, r)
-
-
-def ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
-    """ekf_step_batch for one filter. Returns (status, pos, cov) as
-    Python status and (2,), (2, 2) arrays."""
-    status, pos, cov = ekf_step_batch(pos[None], cov[None], ax[None], ay[None], z[None],
-                                      st, ctrl, q, r)
-    return int(status[0]), pos[0], cov[0]
+def ekf_step(px, py, cov, ax, ay, z, st, ctrl, q, r):
+    """One predict-then-correct cycle. Returns (status, px, py, cov) as
+    ekf_correct does."""
+    px, py, cov = ekf_predict(px, py, cov, st, ctrl, q)
+    return ekf_correct(px, py, cov, ax, ay, z, r)
 
 
 # ---------------------------------------------------------------------------

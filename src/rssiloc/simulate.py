@@ -20,7 +20,9 @@ seeds x steps rather than step by step:
                interferer, one draw per seed and step block
     stateless  readings, aggregation, top-3, ranging and lateration of
                both flavors as array expressions over (seeds, steps, ...)
-    filter     T sequential EKF steps, each over every seed with a fix
+    filter     per seed, its fix steps in order, each one scalar
+               kernels.ekf_step on Python floats; the seeds after a
+               diverged one are not filtered, as no result keeps them
 
 Each seed keeps its own generator, so its columns are bit-identical to a
 run of that seed alone; run_scenario is the batch of one. Seeds run in
@@ -259,7 +261,9 @@ def verify_three_coverage(
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
     bx = np.array([p.x for p in plan.positions])
     by = np.array([p.y for p in plan.positions])
-    counts = kernels.lattice_coverage_counts(xs, ys, bx, by, float(radio_range), 3)
+    # a squared offset beyond the float range is inf, and compares as such
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        counts = kernels.lattice_coverage_counts(xs, ys, bx, by, float(radio_range), 3)
     rows, cols = np.nonzero(counts < 3)
     uncovered = [Point2D(x, y) for x, y in zip(xs[cols].tolist(), ys[rows].tolist())]
     return len(uncovered) == 0, uncovered
@@ -367,20 +371,23 @@ def _run_chunk(s: Scenario, seeds: list[int], block: int):
                 noise[b, t - t0] = rng.normal(0.0, s.shadowing.sigma, noise.shape[2:])
 
         # Stateless stage: readings, aggregation, top-3, ranging and
-        # lateration for every seed and step of the block at once.
-        readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:, :t1 - t0],
-                                    s.radio.sensitivity)
-        agg = rssi[:, t0:t1] = kernels.db_mean(readings)
-        fix_status, xy, _, _ = _fixes(readings[..., 0], beacon_ids, beacon_x, beacon_y, pl)
-        raw[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
-        fix_status, xy, sel, fix_ranges = _fixes(agg, beacon_ids, beacon_x, beacon_y, pl)
-        averaged[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
-        status[:, t0:t1] = fix_status
-        anchor_x[:, t0:t1] = beacon_x[sel]
-        anchor_y[:, t0:t1] = beacon_y[sel]
-        ranges[:, t0:t1] = fix_ranges
+        # lateration for every seed and step of the block at once. A value
+        # beyond the float range becomes inf or NaN, which the fix status
+        # reports.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:, :t1 - t0],
+                                        s.radio.sensitivity)
+            agg = rssi[:, t0:t1] = kernels.db_mean(readings)
+            fix_status, xy, _, _ = _fixes(readings[..., 0], beacon_ids, beacon_x, beacon_y, pl)
+            raw[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+            fix_status, xy, sel, fix_ranges = _fixes(agg, beacon_ids, beacon_x, beacon_y, pl)
+            averaged[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+            status[:, t0:t1] = fix_status
+            anchor_x[:, t0:t1] = beacon_x[sel]
+            anchor_y[:, t0:t1] = beacon_y[sel]
+            ranges[:, t0:t1] = fix_ranges
 
-    # Filter stage: one step at a time, all seeds at once.
+    # Filter stage: each seed's fix steps in order.
     kalman, diverged = _filter(s.kalman, averaged, status, anchor_x, anchor_y, ranges)
     stop = n_seeds if diverged is None else diverged[0]
     results = [RunResult(true.copy(), raw[b], averaged[b], kalman[b], channel[b], rssi[b],
@@ -404,49 +411,40 @@ def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):
 
 
 def _filter(cfg: KalmanConfig, averaged, status, anchor_x, anchor_y, ranges):
-    """Run the range filter over every seed's averaged fixes, one step at
-    a time across the seeds, and mark EKF skips (a prediction on an
-    anchor) as status 3 in place. Returns the (B, T, 2) filtered
-    estimates and (first diverged seed, its step), or None when no seed
-    diverged."""
+    """Run the range filter over each seed's averaged fixes in step order,
+    and mark EKF skips (a prediction on an anchor) as status 3 in place.
+    Returns the (B, T, 2) filtered estimates and (first diverged seed, its
+    step), or None when no seed diverged; the seeds after a diverged one
+    are not run."""
     n_seeds, n_steps = status.shape
     kalman = np.full((n_seeds, n_steps, 2), np.nan)
-    fix = status == 0
-    # First fix seeds the filter: zero initial covariance, the next
-    # prediction injects Q. A seed without a fix never reads its row.
-    first = np.argmax(fix, axis=1)
-    pos = averaged[np.arange(n_seeds), first]
-    seeded = np.flatnonzero(fix.any(axis=1))
-    kalman[seeded, first[seeded]] = pos[seeded]
-    cov = np.zeros((n_seeds, 2, 2))
-    steps = fix & (np.arange(n_steps) > first[:, None])
-    diverged_at = np.full(n_seeds, -1)
-    for t in np.flatnonzero(steps.any(axis=0)).tolist():
-        stepping = np.count_nonzero(steps[:, t])
-        if not stepping:
+    st, ctrl, q, r = (tuple(m.ravel().tolist()) for m in (
+        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise))
+    for b in range(n_seeds):
+        steps = np.flatnonzero(status[b] == 0).tolist()
+        if not steps:
             continue
-        # a step where every seed steps takes the whole arrays, without
-        # the gather and scatter
-        rows = slice(None) if stepping == n_seeds else np.flatnonzero(steps[:, t])
-        step_status, new_pos, new_cov = kernels.ekf_step_batch(
-            pos[rows], cov[rows], anchor_x[rows, t], anchor_y[rows, t], ranges[rows, t],
-            cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
-        )
-        if np.count_nonzero(step_status):
-            rows = np.flatnonzero(steps[:, t])  # indices, where a slice took every seed
-            ok = step_status == 0
-            # a prediction landing on an anchor keeps the previous state
-            # and leaves this step's filtered estimate absent
-            status[rows[step_status == 1], t] = 3
-            # a diverged seed's run ends here; the others go on
-            lost = rows[step_status == 2]
-            diverged_at[lost] = t
-            steps[lost] = False
-            rows, new_pos, new_cov = rows[ok], new_pos[ok], new_cov[ok]
-        pos[rows] = kalman[rows, t] = new_pos
-        cov[rows] = new_cov
-    lost = np.flatnonzero(diverged_at >= 0)
-    return kalman, (int(lost[0]), int(diverged_at[lost[0]])) if lost.size else None
+        # First fix seeds the filter: zero initial covariance, the next
+        # prediction injects Q.
+        px, py = averaged[b, steps[0]].tolist()
+        cov = (0.0, 0.0, 0.0, 0.0)
+        done, estimates = [steps[0]], [(px, py)]
+        ax, ay, z = anchor_x[b].tolist(), anchor_y[b].tolist(), ranges[b].tolist()
+        for t in steps[1:]:
+            code, qx, qy, qcov = kernels.ekf_step(px, py, cov, ax[t], ay[t], z[t],
+                                                   st, ctrl, q, r)
+            if code == 0:
+                px, py, cov = qx, qy, qcov
+                done.append(t)
+                estimates.append((px, py))
+            elif code == 1:
+                # a prediction landing on an anchor keeps the previous
+                # state and leaves this step's filtered estimate absent
+                status[b, t] = 3
+            else:
+                return kalman, (b, t)
+        kalman[b, done] = estimates
+    return kalman, None
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +461,13 @@ def step_errors(result: RunResult, flavor: str) -> np.ndarray:
     return np.array(list(map(math.hypot, dx, dy)))
 
 
-def compute_metrics(result: RunResult, flavor: str) -> Metrics:
+def compute_metrics(result: RunResult, flavor: str, errors: np.ndarray | None = None) -> Metrics:
     """Error statistics for one estimate flavor ('raw', 'averaged' or
     'kalman'); steps without that estimate are excluded and counted.
-    Raises NoResolvedStepsError when no step of the run resolved."""
-    errors = step_errors(result, flavor)
+    `errors` are the flavor's step_errors, for a caller that already has
+    them. Raises NoResolvedStepsError when no step of the run resolved."""
+    if errors is None:
+        errors = step_errors(result, flavor)
     if not result.resolved.any():
         raise NoResolvedStepsError("no step carries a position fix")
     arr = errors[~np.isnan(errors)]

@@ -8,10 +8,19 @@ each anchor to the prediction, the gain is E H^T (H E H^T + R)^-1, and
 the innovation is measured ranges minus ranges predicted from the
 state. The covariance update (I - K H) E is symmetrized afterwards to
 guard against drift.
+
+Each function hands its matrices to the scalar filter kernels
+(kernels.ekf_predict, range_jacobian, ekf_gain and ekf_correct) as
+row-major float tuples, the pieces the simulator's kernels.ekf_step is
+built from, so these functions compute what a simulated run computes,
+bit for bit. The kernels report an anchor hit, a singular innovation
+covariance or a non-finite state by status; these functions raise
+SingularGeometryError, LinAlgError or FilterDivergenceError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,15 +123,21 @@ class RangeMeasurement:
         return np.array([[a.position.x, a.position.y] for a in self.anchors])
 
 
+def _flat(m: np.ndarray) -> tuple:
+    """A matrix as the row-major float tuple the filter kernels take."""
+    return tuple(m.ravel().tolist())
+
+
 def predict(state: KalmanState, cfg: KalmanConfig) -> KalmanState:
     """Prediction phase: propagate position, inflate covariance with Q.
     A prediction outside the float range is a diverged filter."""
-    position, covariance = kernels.ekf_predict(
-        state.position, state.covariance, cfg.state_transition, cfg.control, cfg.process_noise
-    )
-    if not (np.isfinite(position).all() and np.isfinite(covariance).all()):
+    px, py = state.position.tolist()
+    px, py, cov = kernels.ekf_predict(px, py, _flat(state.covariance),
+                                      _flat(cfg.state_transition), _flat(cfg.control),
+                                      _flat(cfg.process_noise))
+    if not all(map(math.isfinite, (px, py, *cov))):
         raise FilterDivergenceError("predicted state not finite")
-    return KalmanState(position, covariance)
+    return KalmanState(np.array([px, py]), np.array(cov))
 
 
 def observation_jacobian(predicted: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -131,22 +146,25 @@ def observation_jacobian(predicted: np.ndarray, anchors: np.ndarray) -> np.ndarr
     Row i is the unit vector from anchor i toward the predicted
     position; undefined (raises) when the prediction sits on an anchor.
     """
-    predicted = np.asarray(predicted, dtype=float)
+    px, py = np.asarray(predicted, dtype=float).tolist()
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
-    status, h, _ = kernels.range_jacobian(predicted, anchors[:, 0], anchors[:, 1])
+    status, h, _ = kernels.range_jacobian(px, py, anchors[:, 0].tolist(), anchors[:, 1].tolist())
     if status != 0:
         raise SingularGeometryError("predicted position coincides with an anchor")
-    return h
+    return np.array(h, dtype=float).reshape(-1, 2)
 
 
 def gain(covariance: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Kalman gain E H^T (H E H^T + R)^-1; LinAlgError if H E H^T + R is singular."""
-    covariance = np.asarray(covariance, dtype=float)
-    h = np.asarray(h, dtype=float)
-    singular, k = kernels.ekf_gain(covariance[None], h[None], r)
-    if singular is not None:
+    """Kalman gain E H^T (H E H^T + R)^-1 for n rows of H, as a (2, n)
+    array; LinAlgError if H E H^T + R is singular."""
+    h = np.asarray(h, dtype=float).reshape(-1, 2)
+    n = h.shape[0]
+    singular, k = kernels.ekf_gain(_flat(np.asarray(covariance, dtype=float)),
+                                   list(map(tuple, h.tolist())),
+                                   _flat(np.asarray(r, dtype=float).reshape(n, n)))
+    if singular:
         raise np.linalg.LinAlgError("innovation covariance H E H^T + R is singular")
-    return k[0]
+    return np.array(k, dtype=float).reshape(2, n)
 
 
 def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:
@@ -156,16 +174,17 @@ def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) ->
     predicted state implies, so a measurement that matches the
     prediction leaves the position exactly unchanged.
     """
+    px, py = predicted.position.tolist()
     anchors = meas.anchor_xy()
-    status, position, covariance = kernels.ekf_correct_batch(
-        predicted.position[None], predicted.covariance[None],
-        anchors[None, :, 0], anchors[None, :, 1], meas.ranges[None], cfg.measurement_noise,
+    status, px, py, cov = kernels.ekf_correct(
+        px, py, _flat(predicted.covariance), anchors[:, 0].tolist(), anchors[:, 1].tolist(),
+        meas.ranges.tolist(), _flat(cfg.measurement_noise),
     )
-    if status[0] == 2:
+    if status == 2:
         raise FilterDivergenceError("innovation covariance singular or state not finite")
-    if status[0] != 0:
+    if status != 0:
         raise SingularGeometryError("predicted position coincides with an anchor")
-    return KalmanState(position[0], covariance[0])
+    return KalmanState(np.array([px, py]), np.array(cov))
 
 
 def filter_step(state: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:

@@ -482,6 +482,25 @@ def test_domain_failures_exit_3(tmp_path, capsys, case):
     assert not (tmp_path / "o" / "steps.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides, err", [
+    ({"kalman": {"state_transition": [[1e200, 0], [0, 1e200]]}},
+     "error: range filter diverged at step 1\n"),
+    ({"beacons": [dict(TRIANGLE_BEACONS[0], x_m=1.3407807929942597e+154),
+                  *TRIANGLE_BEACONS[1:]]},
+     "error: trajectory coverage precheck failed: 1 point(s) lack three-beacon coverage\n"
+     "  uncovered: (12.0, 9.0)\n"),
+], ids=["transition_overflow", "beacon_distance_overflow"])
+def test_numeric_failure_reports_by_status_alone(tmp_path, capsys, overrides, err):
+    # a prediction or a squared beacon distance beyond the float range ends
+    # the run through its status, with one error report and no warning
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", _desk(tmp_path, **overrides),
+                 "--out", str(out)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
 LONG_SEED = "9" * 300
 
 
@@ -540,26 +559,26 @@ def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
     assert seeds == [42, 43, 44, 45]
 
 
-def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call, row):
-    """Sweep three seeds with the filter's `call`-th step (counted from 1)
-    diverging in `row`, the second seed's; check that the sweep exits 3 at
-    step 5 with the first seed's outputs written as a lone run writes them."""
+def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch):
+    """Sweep three seeds with the second seed's filter diverging at step 5;
+    check that the sweep exits 3 there with the first seed's outputs
+    written as a lone run writes them. The filter runs seed after seed,
+    and every step of this scenario resolves: the first seed steps at steps
+    1 to 24 of 25, so the 24 + 5th step call is the second seed's step 5."""
     from rssiloc import kernels
 
-    real = kernels.ekf_step_batch
+    real = kernels.ekf_step
     calls = iter(range(1, 1000))
 
     def diverge_second_seed_at_step_five(*args):
-        status, pos, cov = real(*args)
-        if next(calls) == call:
-            status[row] = 2
-        return status, pos, cov
+        status, *state = real(*args)
+        return (2 if next(calls) == 24 + 5 else status), *state
 
     scn = write_scenario(tmp_path / "s.json", shadowing={"sigma_db": 2.0})
     alone = tmp_path / "alone"
     assert main(["simulate", "--scenario", str(scn), "--out", str(alone)]) == EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_second_seed_at_step_five)
+    monkeypatch.setattr(kernels, "ekf_step", diverge_second_seed_at_step_five)
     out = tmp_path / "sweep"
     assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "3"]) == EXIT_DOMAIN
     assert capsys.readouterr().err == "error: range filter diverged at step 5\n"
@@ -569,19 +588,17 @@ def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call, row)
 
 
 def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
-    # one chunk holds the three seeds: the filter first steps at step 1, so
-    # its 5th call is step 5 of every seed, row 1 being the second
-    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call=5, row=1)
+    # one chunk holds the three seeds
+    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch)
 
 
 def test_sweep_divergence_keeps_earlier_outputs_across_chunks(tmp_path, capsys, monkeypatch):
-    # one seed per chunk: the second seed runs alone after the first seed's
-    # 24 filter steps (steps 1 to 24 of 25), so the first is written before
-    # the diverging chunk runs
+    # one seed per chunk: the first seed is written before the diverging
+    # chunk runs
     from rssiloc import simulate
 
     monkeypatch.setattr(simulate, "SEED_CHUNK_CELLS", 25 * len(TRIANGLE_BEACONS))
-    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch, call=24 + 5, row=0)
+    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch)
 
 
 @st.composite

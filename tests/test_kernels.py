@@ -316,8 +316,9 @@ def matrix_form_filter_step(pos, cov, anchors_xy, z, st, ctrl, q, r):
 
 
 def scalar_ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
-    """One filter's predict/correct with a Python loop for the Jacobian,
-    as the package computed it before ekf_step_batch: (status, pos, cov)."""
+    """One filter's predict/correct on numpy arrays, with a Python loop for
+    the Jacobian and LAPACK's inverse: (status, pos, cov), statuses as
+    kernels.ekf_step gives them."""
     pred, pcov = st @ pos + ctrl, st @ cov @ st.T + q
     h = np.empty((ax.shape[0], 2))
     ranges = np.empty(ax.shape[0])
@@ -341,6 +342,19 @@ def scalar_ekf_step(pos, cov, ax, ay, z, st, ctrl, q, r):
     return 0, new_pos, 0.5 * (new_cov + new_cov.T)
 
 
+def flat(m):
+    """A matrix as the row-major float tuple the filter kernels take."""
+    return tuple(np.asarray(m, dtype=float).ravel().tolist())
+
+
+def kernel_step(pos, cov, ax, ay, z, st, ctrl, q, r):
+    """kernels.ekf_step on numpy arguments: (status, pos, cov) as arrays."""
+    status, px, py, out_cov = kernels.ekf_step(
+        *pos.tolist(), flat(cov), ax.tolist(), ay.tolist(), z.tolist(),
+        flat(st), flat(ctrl), flat(q), flat(r))
+    return status, np.array([px, py]), np.array(out_cov).reshape(2, 2)
+
+
 def _random_ekf_batch(rng, n):
     pos = rng.uniform(2, 28, (n, 2))
     a = rng.uniform(0.1, 1.0, (n, 2, 2))
@@ -348,20 +362,19 @@ def _random_ekf_batch(rng, n):
 
 
 def test_ekf_step_paths_agree():
-    # the simulator's fused batch kernel and the public predict/update
-    # pair give bit-identical states, row by row
+    # the simulator's step and the public predict/update pair give
+    # bit-identical states
     rng = np.random.default_rng(3)
     cfg = KalmanConfig()
     pos, cov, z = _random_ekf_batch(rng, 100)
-    status, kpos, kcov = kernels.ekf_step_batch(
-        pos, cov, np.tile(EKF_AX, (100, 1)), np.tile(EKF_AY, (100, 1)), z,
-        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise,
-    )
-    assert status.shape == (100,) and not status.any()
     for i in range(100):
+        status, kpos, kcov = kernel_step(pos[i], cov[i], EKF_AX, EKF_AY, z[i],
+                                         cfg.state_transition, cfg.control,
+                                         cfg.process_noise, cfg.measurement_noise)
+        assert status == 0
         ref = filter_step(KalmanState(pos[i], cov[i]), RangeMeasurement(ANCHORS, z[i]), cfg)
-        assert np.array_equal(kpos[i], ref.position)
-        assert np.array_equal(kcov[i], ref.covariance)
+        assert kpos.tobytes() == ref.position.tobytes()
+        assert kcov.tobytes() == ref.covariance.tobytes()
 
 
 def test_ekf_step_matches_public_filter_step():
@@ -370,63 +383,82 @@ def test_ekf_step_matches_public_filter_step():
     anchors_xy = np.column_stack([EKF_AX, EKF_AY])
     args = (np.eye(2), np.zeros(2), 0.01 * np.eye(2), np.eye(3))
     pos, cov, z = _random_ekf_batch(rng, 50)
-    status, kpos, kcov = kernels.ekf_step_batch(
-        pos, cov, np.tile(EKF_AX, (50, 1)), np.tile(EKF_AY, (50, 1)), z, *args)
-    assert not status.any()
     for i in range(50):
+        status, kpos, kcov = kernel_step(pos[i], cov[i], EKF_AX, EKF_AY, z[i], *args)
+        assert status == 0
         ref_pos, ref_cov = matrix_form_filter_step(pos[i], cov[i], anchors_xy, z[i], *args)
-        assert kpos[i] == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
-        assert kcov[i] == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
+        assert kpos == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
+        assert kcov == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
         public = filter_step(KalmanState(pos[i], cov[i]), RangeMeasurement(ANCHORS, z[i]), cfg)
         assert public.position == pytest.approx(ref_pos, rel=1e-9, abs=1e-12)
         assert public.covariance == pytest.approx(ref_cov, rel=1e-9, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
-def test_ekf_step_batch_rows_never_mix(seed, n, general):
-    # anchor hits (status 1), singular innovations and non-finite
-    # corrections (status 2) sit in one batch with good rows; every row
-    # carries the status and bits of its own one-row run and of the
-    # scalar step
+def assert_close(got, ref, rel=1e-12):
+    """Every cell within rel of the largest reference cell."""
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max(), (got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ok", "anchor", "singular", "inf"]))
+def test_ekf_step_matches_the_matrix_form_oracle(seed, kind):
+    # a random SPD covariance, transition, control, Q and R, and anchors
+    # anywhere: the closed form agrees with the matrix form to rounding,
+    # and with the numpy step on every status: a prediction on an anchor
+    # (1), a singular H E H^T + R or an infinite range (2)
     rng = np.random.default_rng(seed)
-    pos, cov, z = _random_ekf_batch(rng, n)
-    ax = rng.uniform(0, 30, (n, 3))
-    ay = rng.uniform(0, 30, (n, 3))
-    if general:  # drifting transition, control offset, correlated R
-        st_, ctrl = np.array([[1.0, 0.02], [-0.01, 0.99]]), np.array([0.6, 0.4])
-        q = np.zeros((2, 2))
-        r = np.array([[2.0, 0.1, 0.0], [0.1, 1.5, 0.0], [0.0, 0.0, 0.0]])
-    else:
-        st_, ctrl, q, r = np.eye(2), np.zeros(2), np.zeros((2, 2)), np.diag([1.0, 1.0, 0.0])
-    kinds = rng.integers(0, 4, n)
-    for i in np.flatnonzero(kinds == 1):  # the prediction lands on anchor 1
-        pred = st_ @ pos[i] + ctrl
-        ax[i, 1], ay[i, 1] = pred
-    cov[kinds == 2] = 0.0  # with Q = 0, H E H^T + R = R, which is singular
-    z[kinds == 3, 2] = np.inf
-    status, kpos, kcov = kernels.ekf_step_batch(pos, cov, ax, ay, z, st_, ctrl, q, r)
-    assert status.dtype == np.int8
-    assert status.tolist() == [{0: 0, 1: 1, 2: 2, 3: 2}[k] for k in kinds.tolist()]
-    for i in range(n):
-        one = kernels.ekf_step_batch(pos[i:i + 1], cov[i:i + 1], ax[i:i + 1], ay[i:i + 1],
-                                     z[i:i + 1], st_, ctrl, q, r)
-        with np.errstate(all="ignore"):
-            ref = scalar_ekf_step(pos[i], cov[i], ax[i], ay[i], z[i], st_, ctrl, q, r)
-        assert one[0].tolist() == [ref[0]] == [status[i]]
-        for got in ((kpos[i], kcov[i]), (one[1][0], one[2][0])):
-            assert got[0].tobytes() == ref[1].tobytes()
-            assert got[1].tobytes() == ref[2].tobytes()
+    pos, cov, z = (v[0] for v in _random_ekf_batch(rng, 1))
+    ax, ay = rng.uniform(0, 30, 3), rng.uniform(0, 30, 3)
+    tr = np.eye(2) + rng.uniform(-0.1, 0.1, (2, 2))
+    ctrl = rng.uniform(-1.0, 1.0, 2)
+    a = rng.uniform(-0.3, 0.3, (2, 2))
+    q = a @ a.T
+    b = rng.normal(size=(3, 3))
+    r = b @ b.T + 0.1 * np.eye(3)
+    if kind == "anchor":
+        ax[1], ay[1] = tr @ pos + ctrl
+    elif kind == "singular":  # with E = Q = 0, H E H^T + R = R
+        cov, q = np.zeros((2, 2)), np.zeros((2, 2))
+        r[2], r[:, 2] = 0.0, 0.0
+    elif kind == "inf":
+        z[2] = np.inf
+    status, kpos, kcov = kernel_step(pos, cov, ax, ay, z, tr, ctrl, q, r)
+    with np.errstate(all="ignore"):
+        ref = scalar_ekf_step(pos, cov, ax, ay, z, tr, ctrl, q, r)
+    assert status == ref[0] == {"ok": 0, "anchor": 1, "singular": 2, "inf": 2}[kind]
+    # a failed step returns the prediction
+    assert_close(kpos, ref[1])
+    assert_close(kcov, ref[2])
+    if status == 0:
+        ref_pos, ref_cov = matrix_form_filter_step(pos, cov, np.column_stack([ax, ay]), z,
+                                                   tr, ctrl, q, r)
+        assert_close(kpos, ref_pos)
+        assert_close(kcov, ref_cov)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_ekf_gain_by_elimination_matches_numpy(n):
+    # any row count other than three takes the elimination
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        a = rng.uniform(-1.0, 1.0, (2, 2))
+        cov = a @ a.T
+        h = rng.normal(size=(n, 2))
+        b = rng.normal(size=(n, n))
+        r = b @ b.T + np.eye(n)
+        singular, k = kernels.ekf_gain(flat(cov), list(map(tuple, h.tolist())), flat(r))
+        assert not singular
+        ref = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+        assert_close(np.array(k), ref)
+    singular, k = kernels.ekf_gain(flat(np.zeros((2, 2))), [(1.0, 0.0)] * 2, flat(np.ones((2, 2))))
+    assert singular and k is None
 
 
 def test_ekf_step_flags_anchor_coincidence():
-    out = kernels.ekf_step(
-        np.array([0.0, 0.0]), np.eye(2),
-        np.array([0.0, 30.0, 15.0]), np.array([0.0, 0.0, 30.0]),
-        np.array([1.0, 2.0, 3.0]),
-        np.eye(2), np.zeros(2), np.zeros((2, 2)), np.eye(3),
-    )
-    assert out[0] == 1
+    out = kernels.ekf_step(0.0, 0.0, (1.0, 0.0, 0.0, 1.0), [0.0, 30.0, 15.0], [0.0, 0.0, 30.0],
+                           [1.0, 2.0, 3.0], (1.0, 0.0, 0.0, 1.0), (0.0, 0.0), (0.0,) * 4,
+                           flat(np.eye(3)))
+    assert out == (1, 0.0, 0.0, (1.0, 0.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("cov, z, r", [
@@ -434,16 +466,15 @@ def test_ekf_step_flags_anchor_coincidence():
     (np.eye(2), np.array([5.0, 6.0, np.inf]), np.eye(3)),  # non-finite correction
 ])
 def test_ekf_correct_flags_divergence(cov, z, r):
-    pred = np.array([10.0, 10.0])
-    status, pos, out_cov = kernels.ekf_correct_batch(
-        pred[None], cov[None], EKF_AX[None], EKF_AY[None], z[None], r)
-    assert status.tolist() == [2]
-    assert pos[0].tobytes() == pred.tobytes() and out_cov[0].tobytes() == cov.tobytes()
+    out = kernels.ekf_correct(10.0, 10.0, flat(cov), EKF_AX.tolist(), EKF_AY.tolist(),
+                              z.tolist(), flat(r))
+    assert out == (2, 10.0, 10.0, flat(cov))
 
 
 def test_range_jacobian_rows_and_ranges():
-    status, h, ranges = kernels.range_jacobian(np.array([3.0, 4.0]), EKF_AX, EKF_AY)
+    status, h, ranges = kernels.range_jacobian(3.0, 4.0, EKF_AX.tolist(), EKF_AY.tolist())
     assert status == 0
     assert ranges[0] == 5.0
-    assert h[0].tolist() == [0.6, 0.8]
+    assert h[0] == (0.6, 0.8)
     assert np.linalg.norm(h, axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    assert kernels.range_jacobian(30.0, 0.0, EKF_AX.tolist(), EKF_AY.tolist()) == (1, None, None)

@@ -340,6 +340,8 @@ def oracle_run(s):
     pl = s.path_loss
 
     cfg = s.kalman
+    matrices = [tuple(m.ravel().tolist()) for m in (
+        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise)]
 
     kf_pos = None
     kf_cov = None
@@ -381,14 +383,13 @@ def oracle_run(s):
         if kf_pos is None:
             # First fix seeds the filter: zero initial covariance, the
             # next prediction injects Q.
-            kf_pos = averaged[step].copy()
-            kf_cov = np.zeros((2, 2))
+            kf_pos = tuple(averaged[step].tolist())
+            kf_cov = (0.0, 0.0, 0.0, 0.0)
         else:
-            ok, kf_pos_new, kf_cov_new = kernels.ekf_step(
-                kf_pos, kf_cov,
-                beacon_x[sel], beacon_y[sel], ranges,
-                cfg.state_transition, cfg.control, cfg.process_noise,
-                cfg.measurement_noise,
+            ok, kf_x, kf_y, kf_cov_new = kernels.ekf_step(
+                *kf_pos, kf_cov,
+                beacon_x[sel].tolist(), beacon_y[sel].tolist(), ranges.tolist(),
+                *matrices,
             )
             if ok == 2:
                 raise FilterDivergenceError(f"range filter diverged at step {step}")
@@ -396,7 +397,7 @@ def oracle_run(s):
                 # prediction landing on an anchor: keep the previous state,
                 # leave this step's filtered estimate absent
                 continue
-            kf_pos, kf_cov = kf_pos_new, kf_cov_new
+            kf_pos, kf_cov = (kf_x, kf_y), kf_cov_new
         kalman[step] = kf_pos
     return dict(true=true, raw=raw, averaged=averaged, kalman=kalman, channel=channel, rssi=rssi)
 
@@ -598,18 +599,19 @@ def test_run_batch_stops_at_the_first_divergence(seeds):
 def test_divergence_keeps_the_runs_before_it(monkeypatch):
     # the second of three seeds diverges at step 5: the batch first yields
     # the first seed's run, as a lone run computes it, then raises there
-    real = kernels.ekf_step_batch
-    steps = iter(range(1, 1000))
-
-    def diverge_row_one_at_step_five(*args):
-        status, pos, cov = real(*args)
-        if next(steps) == 5:  # the filter first steps at step 1
-            status[1] = 2
-        return status, pos, cov
-
+    real = kernels.ekf_step
     s = triangle_scenario(seed=0, steps=12, sigma=2.0)
+    # every step of this scenario resolves, so the filter steps at steps 1
+    # to 11 of each seed, and its 11 + 5th call is step 5 of the second seed
+    calls = iter(range(1, 1000))
+
+    def diverge_second_seed_at_step_five(*args):
+        status, *state = real(*args)
+        return (2 if next(calls) == 11 + 5 else status), *state
+
     alone = run_scenario(dataclasses.replace(s, seed=7))
-    monkeypatch.setattr(kernels, "ekf_step_batch", diverge_row_one_at_step_five)
+    assert not alone.status.any()
+    monkeypatch.setattr(kernels, "ekf_step", diverge_second_seed_at_step_five)
     runs = run_batch(s, [7, 8, 9])
     first = next(runs)
     for name in ("raw", "averaged", "kalman", "channel", "rssi", "status"):

@@ -111,20 +111,26 @@ def test_gain_shrinks_with_measurement_distrust():
 
 
 def test_public_gain_is_the_kernel_gain():
-    # tracking.gain is kernels.ekf_gain on one row: the same bits as that
-    # row of a batch, and a singular H E H^T + R raises
+    # tracking.gain is kernels.ekf_gain on the matrices' row-major float
+    # tuples: the same bits for three rows and for one, and a singular
+    # H E H^T + R raises
     rng = np.random.default_rng(5)
     a = rng.uniform(-1.0, 1.0, (50, 2, 2))
     cov = a @ a.transpose(0, 2, 1)
     h = rng.normal(size=(50, 3, 2))
     b = rng.normal(size=(3, 3))
     r = b @ b.T + np.eye(3)
-    singular, k = kernels.ekf_gain(cov, h, r)
-    assert singular is None
     for i in range(50):
-        assert gain(cov[i], h[i], r).tobytes() == k[i].tobytes()
+        for rows, noise in ((h[i], r), (h[i, :1], r[:1, :1])):
+            singular, k = kernels.ekf_gain(tuple(cov[i].ravel().tolist()),
+                                           list(map(tuple, rows.tolist())),
+                                           tuple(noise.ravel().tolist()))
+            assert not singular
+            assert gain(cov[i], rows, noise).tobytes() == np.array(k).tobytes()
     with pytest.raises(np.linalg.LinAlgError):
         gain(np.zeros((2, 2)), h[0], np.zeros((3, 3)))
+    with pytest.raises(np.linalg.LinAlgError):
+        gain(np.zeros((2, 2)), h[0, :1], np.zeros((1, 1)))
 
 
 def test_gain_continuity_in_r():
