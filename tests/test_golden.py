@@ -106,9 +106,9 @@ CASES = {
 GOLDEN = {
     "compare_wifi": {
         "compare.csv":
-            "947b276138b8aea5ced4c426ed69780a46f6cfe209215faef7879256d1203318",
+            "d6386d6402a3d948b65744ed567037315ae50a671976293598c3cc9d5798aa68",
         "metrics.json":
-            "5219321d1c9d49582542085d5e83e24bfe8dc8a0a3c9ab61774d82ddf519b8d6",
+            "6f9f18e96155829834c9c7b19d75b07fbddb3c44ca9e0b6098e8ed91ccd6e460",
     },
     "deploy_60x40": {
         "beacons.csv":
@@ -124,83 +124,83 @@ GOLDEN = {
         "scan.csv":
             "3e439571a893f57ebedbcadb9bbcd05dad860a5060c47ce039b5b0e27e9ff595",
     },
-    "simulate_desk": {
-        "steps.csv":
-            "733f7969d4bf0f7aba7c048b5711f166b2f9cb95183fea28754f8b29a9cbf7f1",
-        "summary.json":
-            "90c8fae1ffb7758d6c15a25b2aa671e334579fc44f1dc9e0d5734c39b1bdff34",
-    },
-    "simulate_desk_json": {
-        "steps.json":
-            "dbc733659aff84aae286e683f13d227a5a017112218e1883adf2a4c84f3d43ed",
-        "summary.json":
-            "90c8fae1ffb7758d6c15a25b2aa671e334579fc44f1dc9e0d5734c39b1bdff34",
-    },
     "simulate_all_sections": {
         "steps.csv":
-            "a0cb304b3f9ff03085fb568800cbb05d1199afa54aeee3f77b820d61e204e37a",
+            "4748503dc13218d69975655496ee2c6fee543833c8fcb033faab539f65dcb2fe",
         "summary.json":
-            "0ccdce5d6bdd507e38e05ce08178189b550c8e7d4396ff83fbe806d019e94fe3",
+            "2792f3af4d88b713c1653225349efe2ea33574ee26fe6c3da2c1f556376fa107",
     },
     "simulate_all_sections_seeds3": {
         "seed_23/steps.csv":
-            "a0cb304b3f9ff03085fb568800cbb05d1199afa54aeee3f77b820d61e204e37a",
+            "4748503dc13218d69975655496ee2c6fee543833c8fcb033faab539f65dcb2fe",
         "seed_23/summary.json":
-            "0ccdce5d6bdd507e38e05ce08178189b550c8e7d4396ff83fbe806d019e94fe3",
+            "2792f3af4d88b713c1653225349efe2ea33574ee26fe6c3da2c1f556376fa107",
         "seed_24/steps.csv":
-            "7ba8f095c4c7910ee34bf89c7b574b6ab4173c95670dfa15bedd1cd6567c3721",
+            "57e80144e41ceff01e6d3d02b1bb930a7bfddf212e305a0a4cb141b715be539c",
         "seed_24/summary.json":
-            "2b4907527abbe3e36eaf9681b34e47eb3628d5fa9aed687d16723791806dd697",
+            "1e3f67369c7f6570f00ee8c5c24cf3e22776abc23e5c43f6348e578e25b3a2a1",
         "seed_25/steps.csv":
-            "870e065c54ded82fad471152db8bf53ccd0b72b2f7a3cc1b423c719912becf86",
+            "bd38e571dd3a295e2ef77b447f9d755763af8610927108319988e54c57f53fff",
         "seed_25/summary.json":
-            "4219c30e3b3fdd9b2b07985160e2e54a398e3a5227879f9c5fa4209dc440dd46",
+            "b97755572f8886537dc1e3bd80e28d153582f39b7f350254bff15299e612bc20",
+    },
+    "simulate_desk": {
+        "steps.csv":
+            "86470ddbe665cd7143a965b8f8e1c8a3acbf0324b5db2fc19602705d766ce997",
+        "summary.json":
+            "a495fc5ae9ec483a36012317bd50aa82048c236ab45c7b2539484633692cb49f",
+    },
+    "simulate_desk_json": {
+        "steps.json":
+            "c2c5b01ed853d0cc358756f6e6c8a1e932e1d929f822aadd8760fc6b8f0fc5d9",
+        "summary.json":
+            "a495fc5ae9ec483a36012317bd50aa82048c236ab45c7b2539484633692cb49f",
     },
     "simulate_desk_seeds3": {
         "seed_42/steps.csv":
-            "733f7969d4bf0f7aba7c048b5711f166b2f9cb95183fea28754f8b29a9cbf7f1",
+            "86470ddbe665cd7143a965b8f8e1c8a3acbf0324b5db2fc19602705d766ce997",
         "seed_42/summary.json":
-            "90c8fae1ffb7758d6c15a25b2aa671e334579fc44f1dc9e0d5734c39b1bdff34",
+            "a495fc5ae9ec483a36012317bd50aa82048c236ab45c7b2539484633692cb49f",
         "seed_43/steps.csv":
-            "894b2b7e47baccc9134dac136de205448e9e103f047a95e58aae65567b042568",
+            "fc78009074b7dc5f1d881fae4f1759a26bb2c6d424a25b4fea93710b047b8421",
         "seed_43/summary.json":
-            "4e41109226d0b57820fad456d5502598d28da49ddc310ab1afdddf01ed914050",
+            "3e3c0fb59ee7d6d1f566d9fb2d382a731d687a533fd946c9b986da9e1898fd5c",
         "seed_44/steps.csv":
-            "95b324d3e1396fa9868cc03360e48d5f11dce87e929b0329020c74415f349124",
+            "49bffb15ad8f01614683f693cd840d2984604cb50de105f6f2de8d415d88dfc1",
         "seed_44/summary.json":
-            "7af1c89596ec87afa8f8bb8afb778085f8336fe5a1dcb7211e59e5c097440485",
+            "20e98731bdedfadd9df2534ca0ac330a97f398bca7c992202cfd4651932cb75b",
     },
     "simulate_lattice_sparse": {
         "steps.csv":
-            "9509e17d8b66c4d8d7a3baea93384ee8df983f2fa87aa1b78159ebecba9986b2",
+            "95e70905e90b90aa9dbe97702ecb5b546bc699451441c02eb51e0ced267dba62",
         "summary.json":
-            "86f180988003979712730e1450ff6d064f45817310af8758ba5d84eb1293d44f",
+            "fd488b1eb802b5b261fe8b384c154993c6bd8b5403e49f656ab2e04d85bc7569",
     },
     "simulate_lattice_ties": {
         "steps.csv":
-            "c384bf31b9292d03b7ea7d47cd3da46651a7b314b2f4abe708f4d43ac8b6dac2",
+            "3e082c0924d3ceceb7a2a759251f401a4e8ef58e5313d55b930bd6ee5ec37455",
         "summary.json":
-            "3c1cc86617b529d50374ddf29c65741920791283ca380bebe25b4d40293a42c1",
+            "08d330feb365543b6817c76e64c1d4973524effd4ced288b9c176b19eb443ebc",
     },
     "simulate_wifi": {
         "steps.csv":
-            "d0957e25cb5ca6502d87f1172fafaa2c64f81626cf6de2b10ad84dea1bc69aee",
+            "e991e8abf76eee0a2666987b7f73c32beeefa6e6c12e521aefd47d86e27bd56b",
         "summary.json":
-            "0d78b858bebf0d74e9b1bc79c32406f4b866bdbb50ba4ad296aceb734e4d085a",
+            "dcd54d296d8c7b85340d2d71429a45dafa8ee36d537bd04398f7356fcaf87d13",
     },
     "simulate_wifi_seeds3": {
         "seed_7/steps.csv":
-            "d0957e25cb5ca6502d87f1172fafaa2c64f81626cf6de2b10ad84dea1bc69aee",
+            "e991e8abf76eee0a2666987b7f73c32beeefa6e6c12e521aefd47d86e27bd56b",
         "seed_7/summary.json":
-            "0d78b858bebf0d74e9b1bc79c32406f4b866bdbb50ba4ad296aceb734e4d085a",
+            "dcd54d296d8c7b85340d2d71429a45dafa8ee36d537bd04398f7356fcaf87d13",
         "seed_8/steps.csv":
-            "9daa2653c3df975851dd6265ba68a11675826bd4412bd37ad84d1ede09fc6aa2",
+            "2d04cde9070b2d923bcd42d8bc223717be765eb54910cab16b58bcee8d665997",
         "seed_8/summary.json":
-            "b39baf5d5e18b0445eecbb6fccc943eb0154a1fa30ee656442c5a92c5cd99409",
+            "3b3c0a9bbaa6d37a908b3987df91520e94901dc12369b3658b9a8f6452eb70e6",
         "seed_9/steps.csv":
-            "a7f3a8c5f262f666f092132dbe33ec2c834a520ab7b370dd49c00bf0fd7b0a8d",
+            "7a97371065c128725ead8c87c4af6ec0e96124b92e71dbe4d5e841b3624e00fd",
         "seed_9/summary.json":
-            "2ebe4b84489171c91a5766cd500c93c0ed6ae5eae84327f5aea1a167783bc4d8",
+            "b545f44a481ac88786483123925e815933beeea49bd06696be1d4d4e6262b146",
     },
 }
 
