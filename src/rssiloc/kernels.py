@@ -221,8 +221,14 @@ def ekf_gain(cov, h, r):
     Returns (singular, k) with k the gain's two rows of n values; singular
     is True, and k None, when det S is 0 or not finite.
 
-    For n = 3, the filter's case, S is inverted by cofactors, written out;
-    any other n takes Gauss-Jordan elimination with partial pivoting."""
+    S is first scaled by the power of two that brings its trace into
+    [0.5, 1), and the gain by the same factor. The scaling is exact, so
+    the bits are those of the unscaled formula wherever that neither
+    overflows nor underflows. With E and R positive semi-definite, as the
+    filter's are, no entry of the scaled S exceeds 1 in size, so det S
+    stays in range whatever the scale of R. For n = 3, the filter's case,
+    the scaled S is inverted by cofactors, written out; any other n takes
+    Gauss-Jordan elimination with partial pivoting."""
     if len(h) != 3:
         return _gain_by_elimination(cov, h, r)
     c00, c01, c10, c11 = cov
@@ -244,6 +250,10 @@ def ekf_gain(cov, h, r):
     s20 = h2x * a0 + h2y * b0 + r20
     s21 = h2x * a1 + h2y * b1 + r21
     s22 = h2x * a2 + h2y * b2 + r22
+    f = _unit_scale(s00 + s11 + s22)
+    s00, s01, s02 = s00 * f, s01 * f, s02 * f
+    s10, s11, s12 = s10 * f, s11 * f, s12 * f
+    s20, s21, s22 = s20 * f, s21 * f, s22 * f
     # the cofactors of the first row give the determinant
     t00 = s11 * s22 - s12 * s21
     t01 = s12 * s20 - s10 * s22
@@ -261,22 +271,34 @@ def ekf_gain(cov, h, r):
     i02 = (s01 * s12 - s02 * s11) / det
     i12 = (s02 * s10 - s00 * s12) / det
     i22 = (s00 * s11 - s01 * s10) / det
-    return False, ((a0 * i00 + a1 * i10 + a2 * i20, a0 * i01 + a1 * i11 + a2 * i21,
-                    a0 * i02 + a1 * i12 + a2 * i22),
-                   (b0 * i00 + b1 * i10 + b2 * i20, b0 * i01 + b1 * i11 + b2 * i21,
-                    b0 * i02 + b1 * i12 + b2 * i22))
+    # the inverse of f S is S^-1 / f, so E H^T (f S)^-1 f is the gain
+    return False, ((f * (a0 * i00 + a1 * i10 + a2 * i20), f * (a0 * i01 + a1 * i11 + a2 * i21),
+                    f * (a0 * i02 + a1 * i12 + a2 * i22)),
+                   (f * (b0 * i00 + b1 * i10 + b2 * i20), f * (b0 * i01 + b1 * i11 + b2 * i21),
+                    f * (b0 * i02 + b1 * i12 + b2 * i22)))
+
+
+def _unit_scale(trace):
+    """The power of two f = 2**-e that brings |trace| into [0.5, 1). e is
+    floored at -1022 so that f stays a float; a subnormal trace then
+    scales to at least 2**-52. 1.0 for a trace of 0, inf or NaN, which
+    leaves such a matrix to the singular test."""
+    e = math.frexp(trace)[1]
+    return math.ldexp(1.0, -e if e > -1022 else 1022)
 
 
 def _gain_by_elimination(cov, h, r):
     """ekf_gain for n != 3: reduce [S | I] to [I | S^-1] by Gauss-Jordan
-    elimination with partial pivoting; det S is the signed product of the
-    pivots."""
+    elimination with partial pivoting, on S scaled as ekf_gain scales it;
+    det S is the signed product of the pivots."""
     c00, c01, c10, c11 = cov
     e0 = [c00 * hx + c01 * hy for hx, hy in h]
     e1 = [c10 * hx + c11 * hy for hx, hy in h]
     n = len(h)
-    rows = [[hx * e0[j] + hy * e1[j] + r[i * n + j] for j in range(n)]
-            + [float(i == j) for j in range(n)] for i, (hx, hy) in enumerate(h)]
+    s = [[hx * e0[j] + hy * e1[j] + r[i * n + j] for j in range(n)]
+         for i, (hx, hy) in enumerate(h)]
+    f = _unit_scale(sum(s[i][i] for i in range(n)))
+    rows = [[v * f for v in row] + [float(i == j) for j in range(n)] for i, row in enumerate(s)]
     det = 1.0
     for col in range(n):
         pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
@@ -289,12 +311,12 @@ def _gain_by_elimination(cov, h, r):
         det *= p
         rows[col] = [v / p for v in rows[col]]
         for i in range(n):
-            f = rows[i][col]
-            if i != col and f != 0.0:
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[col])]
+            m = rows[i][col]
+            if i != col and m != 0.0:
+                rows[i] = [v - m * w for v, w in zip(rows[i], rows[col])]
     if not math.isfinite(det):
         return True, None
-    return False, tuple(tuple(sum(e[i] * rows[i][n + j] for i in range(n)) for j in range(n))
+    return False, tuple(tuple(f * sum(e[i] * rows[i][n + j] for i in range(n)) for j in range(n))
                         for e in (e0, e1))
 
 

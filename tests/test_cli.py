@@ -501,6 +501,18 @@ def test_numeric_failure_reports_by_status_alone(tmp_path, capsys, overrides, er
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_measurement_noise_runs(tmp_path, capsys):
+    # R = 1e110 I puts det(H E H^T + R) beyond the float range; the filter
+    # scales it away and runs, trusting its predictions
+    r = [[1e110 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", _desk(tmp_path, kalman={"measurement_noise_m2": r}),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("seed 42: 200 steps, kalman rmse ")
+    assert (out / "steps.csv").exists()
+
+
 LONG_SEED = "9" * 300
 
 

@@ -133,6 +133,35 @@ def test_public_gain_is_the_kernel_gain():
         gain(np.zeros((2, 2)), h[0, :1], np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("exponent", [-900, -360, 360, 1000])
+def test_gain_is_invariant_to_the_scale_of_e_and_r(exponent):
+    # E and R times 2**exponent give the same gain, bit for bit, through
+    # the cofactor form (three rows) and the elimination (two rows), where
+    # det(H E H^T + R) alone would overflow or underflow
+    rng = np.random.default_rng(6)
+    c = 2.0 ** exponent
+    for _ in range(20):
+        a = rng.uniform(-1.0, 1.0, (2, 2))
+        cov = a @ a.T + 0.1 * np.eye(2)
+        h = rng.normal(size=(3, 2))
+        b = rng.normal(size=(3, 3))
+        r = b @ b.T + np.eye(3)
+        for rows, noise in ((h, r), (h[:2], r[:2, :2])):
+            assert gain(c * cov, rows, c * noise).tobytes() == gain(cov, rows, noise).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e300])
+def test_gain_under_a_huge_r_matches_numpy(scale):
+    # a measurement noise that distrusts the ranges is no singular
+    # innovation covariance
+    h = observation_jacobian(np.array([12.0, 9.0]), np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 30.0]]))
+    cov = np.array([[0.5, 0.1], [0.1, 0.3]])
+    for rows in (h, h[:2]):
+        r = scale * np.eye(len(rows))
+        ref = cov @ rows.T @ np.linalg.inv(rows @ cov @ rows.T + r)
+        assert gain(cov, rows, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_gain_continuity_in_r():
     rng = np.random.default_rng(1)
     h = observation_jacobian(np.array([12.0, 9.0]), np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 30.0]]))
