@@ -345,12 +345,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_encode(obj) + "\n")
 
 
-def _metrics_block(result: RunResult, errors: dict) -> dict:
+def _metrics_block(result: RunResult) -> dict:
     """Error statistics of each estimate flavor, as summary.json and
-    metrics.json carry them, from each flavor's step errors."""
+    metrics.json carry them."""
     block = {}
     for flavor in FLAVORS:
-        m = compute_metrics(result, flavor, errors[flavor])
+        m = compute_metrics(result, flavor)
         block[flavor] = {
             "rmse_m": m.rmse,
             "mean_error_m": m.mean_error,
@@ -360,11 +360,6 @@ def _metrics_block(result: RunResult, errors: dict) -> dict:
             "unresolved_steps": m.unresolved_steps,
         }
     return block
-
-
-def _step_errors(result: RunResult) -> dict:
-    """Each flavor's step errors, in FLAVORS order, computed once per run."""
-    return {flavor: step_errors(result, flavor) for flavor in FLAVORS}
 
 
 _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
@@ -400,7 +395,7 @@ def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt:
     """Write steps.<fmt> and summary.json of the run of this seed; returns
     its metrics block. A run where no step resolved raises before any file
     is written."""
-    metrics = _metrics_block(result, _step_errors(result))
+    metrics = _metrics_block(result)
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = [*result.raw.T, *result.averaged.T, *result.kalman.T, result.channel,
                result.resolved.astype(np.int64)]
@@ -524,13 +519,13 @@ def cmd_compare(args) -> None:
     s = load_scenario(Path(args.scenario), args.seed)
     _coverage_precheck(s)
     result = run_scenario(s)
-    errors = _step_errors(result)
-    metrics = _metrics_block(result, errors)
+    metrics = _metrics_block(result)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     _write_csv(out_dir / "compare.csv", ["step", "error_raw_m", "error_avg_m", "error_kf_m"],
-               [np.arange(len(result.true)), *errors.values()])
+               [np.arange(len(result.true)),
+                *(step_errors(result, flavor) for flavor in FLAVORS)])
     _write_json(out_dir / "metrics.json", metrics)
     for flavor in FLAVORS:
         rmse = metrics[flavor]["rmse_m"]

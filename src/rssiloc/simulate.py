@@ -461,13 +461,11 @@ def step_errors(result: RunResult, flavor: str) -> np.ndarray:
     return np.array(list(map(math.hypot, dx, dy)))
 
 
-def compute_metrics(result: RunResult, flavor: str, errors: np.ndarray | None = None) -> Metrics:
+def compute_metrics(result: RunResult, flavor: str) -> Metrics:
     """Error statistics for one estimate flavor ('raw', 'averaged' or
     'kalman'); steps without that estimate are excluded and counted.
-    `errors` are the flavor's step_errors, for a caller that already has
-    them. Raises NoResolvedStepsError when no step of the run resolved."""
-    if errors is None:
-        errors = step_errors(result, flavor)
+    Raises NoResolvedStepsError when no step of the run resolved."""
+    errors = step_errors(result, flavor)
     if not result.resolved.any():
         raise NoResolvedStepsError("no step carries a position fix")
     arr = errors[~np.isnan(errors)]
