@@ -2,11 +2,11 @@
 
 Library layout:
 
-    geometry      points, rectangles, dBm/mW conversions
-    radio         log-distance path loss, ranging, shadowed sampling
-    spectrum      2.4 GHz channel geometry and interference sampling
+    geometry      points, rectangles, dBm to mW conversion
+    radio         log-distance path-loss parameters, ranging
+    spectrum      2.4 GHz channel geometry, interferers, packet outcomes
     channel       energy scan, channel choice, failure-ratio monitoring
-    localization  RSSI aggregation, anchor selection, lateration
+    localization  least-squares lateration
     tracking      range-driven planar Kalman filter
     simulate      deployment planning and end-to-end scenario runs
     kernels       numeric cores shared by every layer
@@ -20,23 +20,18 @@ from .geometry import (
     Point2D,
     Rect,
     dbm_to_milliwatts,
-    euclidean_distance,
-    milliwatts_to_dbm,
 )
 from .radio import (
     PathLossParams,
     RadioSpec,
     ShadowingModel,
     distance_from_rssi,
-    rssi_at_distance,
-    sample_measured_rssi,
 )
 from .spectrum import (
     ChannelEnvironment,
     InterfererProfile,
     WifiChannel,
     ZigbeeChannel,
-    channel_energy_sample,
     channels_overlap,
     packet_success,
 )
@@ -49,11 +44,8 @@ from .channel import (
 )
 from .localization import (
     PositionEstimate,
-    RssiObservation,
     TrilaterationProblem,
-    aggregate_rssi,
     least_squares_multilaterate,
-    select_anchors,
     trilaterate,
 )
 from .tracking import (
@@ -71,7 +63,6 @@ from .simulate import (
     Metrics,
     RunResult,
     Scenario,
-    compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,
     run_batch,

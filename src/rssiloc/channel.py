@@ -2,7 +2,7 @@
 
 Scan all 16 channels, average the sampled energy per channel, pick the
 quietest one, then watch the packet failure ratio on the active channel
-and trigger a rescan once it crosses the configured threshold. Variance
+and trigger a rescan once it crosses the Fig.-3 threshold. Variance
 is recorded alongside the mean for reporting; selection itself uses the
 mean only.
 
@@ -32,6 +32,10 @@ __all__ = [
     "scan_all_channels",
     "select_channel",
 ]
+
+# The Fig.-3 rescan rule: the last 20 packets, more than 20 % of them failed.
+WINDOW_SIZE = 20
+FAILURE_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -92,24 +96,13 @@ class ChannelMonitor:
     """Sliding-window packet-failure watcher for the active channel.
 
     Single-owner mutable state; a rescan is requested only once the
-    window is full and the failure ratio strictly exceeds the threshold.
-    The defaults are the Fig.-3 window and threshold that runs use.
+    window of WINDOW_SIZE outcomes is full and the failure ratio strictly
+    exceeds FAILURE_THRESHOLD, the Fig.-3 window and ratio.
     """
 
-    def __init__(
-        self,
-        active_channel: ZigbeeChannel,
-        window_size: int = 20,
-        failure_threshold: float = 0.2,
-    ):
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if not 0.0 < failure_threshold <= 1.0:
-            raise ValueError("failure_threshold must be in (0, 1]")
+    def __init__(self, active_channel: ZigbeeChannel):
         self.active_channel = active_channel
-        self.window_size = window_size
-        self.failure_threshold = failure_threshold
-        self._outcomes: deque[bool] = deque(maxlen=window_size)
+        self._outcomes: deque[bool] = deque(maxlen=WINDOW_SIZE)
 
     def record_packet_outcome(self, success: bool) -> None:
         self._outcomes.append(success)
@@ -120,9 +113,9 @@ class ChannelMonitor:
         return self._outcomes.count(False) / len(self._outcomes)
 
     def should_rescan(self) -> bool:
-        if len(self._outcomes) < self.window_size:
+        if len(self._outcomes) < WINDOW_SIZE:
             return False
-        return self.failure_ratio() > self.failure_threshold
+        return self.failure_ratio() > FAILURE_THRESHOLD
 
     def switch_to(self, channel: ZigbeeChannel) -> None:
         """Activate a new channel and clear the packet window."""

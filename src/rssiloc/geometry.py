@@ -16,9 +16,7 @@ __all__ = [
     "Point2D",
     "Rect",
     "AnchorNode",
-    "euclidean_distance",
     "dbm_to_milliwatts",
-    "milliwatts_to_dbm",
 ]
 
 # Received/transmitted power in decibel-milliwatts. Plain floats; named for
@@ -84,18 +82,7 @@ class AnchorNode:
             raise ValueError(f"node id must be non-negative, got {self.id}")
 
 
-def euclidean_distance(a: Point2D, b: Point2D) -> float:
-    """Planar distance between two points, meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def dbm_to_milliwatts(p: Dbm) -> float:
     """Convert dBm to linear milliwatts."""
     return 10.0 ** (p / 10.0)
 
-
-def milliwatts_to_dbm(m: float) -> Dbm:
-    """Convert linear milliwatts to dBm. Requires m > 0."""
-    if m <= 0.0:
-        raise ValueError(f"milliwatts must be positive, got {m}")
-    return 10.0 * math.log10(m)

@@ -2,7 +2,7 @@
 
 Every per-step operation of the receive-side pipeline lives here once:
 channel energy readings under interference, log-distance path loss and
-its inverse, shadowed reading windows, NaN-aware dB aggregation,
+its inverse, censoring below sensitivity, NaN-aware dB aggregation,
 strongest-k ordering, the linearized lateration solve, and the range-EKF
 predict/correct step (Jacobian and gain included). Beacon-coverage
 counting lives here too, in two shapes: over a list of sample points
@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "energy_scan", "path_loss_rssi", "path_loss_range", "shadowed_readings", "censored",
+    "energy_scan", "path_loss_rssi", "path_loss_range", "censored",
     "db_mean", "top_k", "lateration_batch", "lateration_solve", "ekf_predict",
     "range_jacobian", "ekf_gain", "ekf_correct", "ekf_step",
     "coverage_counts", "lattice_coverage_counts",
@@ -84,15 +84,6 @@ def path_loss_rssi(d, rssi_at_ref, ref_distance, exponent):
 def path_loss_range(rssi, rssi_at_ref, ref_distance, exponent):
     """Inverse of path_loss_rssi: the distance(s) producing `rssi`."""
     return ref_distance * 10.0 ** ((rssi_at_ref - rssi) / (10.0 * exponent))
-
-
-def shadowed_readings(mean, sigma, sensitivity, rng, n):
-    """n readings around each mean with N(0, sigma) dB shadowing; readings
-    below `sensitivity` become NaN. A mean array of shape s gives shape
-    s + (n,), drawn row-major, so one (k, n) draw consumes the generator
-    exactly like k windows of n drawn one after another."""
-    mean = np.asarray(mean)
-    return censored(mean[..., None] + rng.normal(0.0, sigma, size=mean.shape + (n,)), sensitivity)
 
 
 def censored(values, sensitivity):
@@ -173,9 +164,10 @@ def lateration_solve(ax, ay, d):
 # range-driven planar Kalman filter
 #
 # One filter on Python floats, written out in closed form. A 2 x 2 matrix
-# is a row-major 4-tuple (m00, m01, m10, m11) and the n x n measurement
-# noise a row-major sequence of n * n floats; anchor coordinates, ranges
-# and measured ranges are length-n sequences. Every product is a
+# is a row-major 4-tuple (m00, m01, m10, m11) and the 3 x 3 measurement
+# noise a row-major sequence of 9 floats; anchor coordinates, ranges and
+# measured ranges are length-3 sequences (range_jacobian takes any
+# length). Every product is a
 # left-to-right sum of float products, so a state's bits depend on IEEE
 # double arithmetic alone, not on the BLAS or LAPACK a host links. Float
 # arithmetic never raises or warns here: an overflow is inf, inf - inf is
@@ -217,20 +209,18 @@ def range_jacobian(px, py, ax, ay):
 
 
 def ekf_gain(cov, h, r):
-    """Kalman gain E H^T S^-1, S = H E H^T + R, for n rows h[i] = (hx, hy).
-    Returns (singular, k) with k the gain's two rows of n values; singular
-    is True, and k None, when det S is 0 or not finite.
+    """Kalman gain E H^T S^-1, S = H E H^T + R, for the three rows
+    h[i] = (hx, hy). Returns (singular, k) with k the gain's two rows of
+    three values; singular is True, and k None, when det S is 0 or not
+    finite.
 
     S is first scaled by the power of two that brings its trace into
     [0.5, 1), and the gain by the same factor. The scaling is exact, so
     the bits are those of the unscaled formula wherever that neither
     overflows nor underflows. With E and R positive semi-definite, as the
     filter's are, no entry of the scaled S exceeds 1 in size, so det S
-    stays in range whatever the scale of R. For n = 3, the filter's case,
-    the scaled S is inverted by cofactors, written out; any other n takes
-    Gauss-Jordan elimination with partial pivoting."""
-    if len(h) != 3:
-        return _gain_by_elimination(cov, h, r)
+    stays in range whatever the scale of R. The scaled S is inverted by
+    cofactors, written out."""
     c00, c01, c10, c11 = cov
     (h0x, h0y), (h1x, h1y), (h2x, h2y) = h
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
@@ -285,39 +275,6 @@ def _unit_scale(trace):
     leaves such a matrix to the singular test."""
     e = math.frexp(trace)[1]
     return math.ldexp(1.0, -e if e > -1022 else 1022)
-
-
-def _gain_by_elimination(cov, h, r):
-    """ekf_gain for n != 3: reduce [S | I] to [I | S^-1] by Gauss-Jordan
-    elimination with partial pivoting, on S scaled as ekf_gain scales it;
-    det S is the signed product of the pivots."""
-    c00, c01, c10, c11 = cov
-    e0 = [c00 * hx + c01 * hy for hx, hy in h]
-    e1 = [c10 * hx + c11 * hy for hx, hy in h]
-    n = len(h)
-    s = [[hx * e0[j] + hy * e1[j] + r[i * n + j] for j in range(n)]
-         for i, (hx, hy) in enumerate(h)]
-    f = _unit_scale(sum(s[i][i] for i in range(n)))
-    rows = [[v * f for v in row] + [float(i == j) for j in range(n)] for i, row in enumerate(s)]
-    det = 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        p = rows[col][col]
-        if p == 0.0:
-            return True, None
-        det *= p
-        rows[col] = [v / p for v in rows[col]]
-        for i in range(n):
-            m = rows[i][col]
-            if i != col and m != 0.0:
-                rows[i] = [v - m * w for v, w in zip(rows[i], rows[col])]
-    if not math.isfinite(det):
-        return True, None
-    return False, tuple(tuple(f * sum(e[i] * rows[i][n + j] for i in range(n)) for j in range(n))
-                        for e in (e0, e1))
 
 
 def ekf_correct(px, py, cov, ax, ay, z, r):

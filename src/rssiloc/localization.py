@@ -1,4 +1,4 @@
-"""RSSI aggregation, anchor selection, and least-squares lateration.
+"""Least-squares lateration from anchor ranges.
 
 Position is recovered from anchor ranges by linearizing the squared
 range differences against the first anchor and solving the resulting
@@ -6,45 +6,28 @@ range differences against the first anchor and solving the resulting
 anchors this is the classic trilateration closed form, and the same
 construction extends row-by-row to more anchors.
 
-Aggregation averages in the dB domain: RSSI readings are dBm values and
-the windowed mean is taken directly over them.
+The simulator aggregates readings (kernels.db_mean) and picks the three
+strongest beacons (kernels.top_k) itself; these functions validate a
+problem and solve it with kernels.lateration_solve, the simulator's
+batch solve on one anchor set.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DegenerateGeometryError, InsufficientAnchorsError
-from .geometry import AnchorNode, Dbm, Point2D
+from .geometry import AnchorNode, Point2D
 
 __all__ = [
-    "RssiObservation",
     "TrilaterationProblem",
     "PositionEstimate",
-    "aggregate_rssi",
-    "select_anchors",
     "trilaterate",
     "least_squares_multilaterate",
 ]
-
-
-@dataclass(frozen=True)
-class RssiObservation:
-    """One aggregation window of readings from a single anchor."""
-
-    anchor: AnchorNode
-    samples: tuple[Dbm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise ValueError("observation needs at least one sample")
-        if not all(math.isfinite(v) for v in self.samples):
-            raise ValueError("observation samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,25 +52,6 @@ class TrilaterationProblem:
 @dataclass(frozen=True)
 class PositionEstimate:
     position: Point2D
-
-
-def aggregate_rssi(obs: RssiObservation) -> Dbm:
-    """Arithmetic mean of the window's dBm readings."""
-    return float(kernels.db_mean(np.array(obs.samples)))
-
-
-def select_anchors(
-    observations: list[tuple[AnchorNode, Dbm]], k: int = 3
-) -> list[tuple[AnchorNode, Dbm]]:
-    """The k strongest observations, ordered by descending RSSI; ties go
-    to the lower node id."""
-    if len(observations) < k:
-        raise InsufficientAnchorsError(
-            f"need >= {k} observations, got {len(observations)}"
-        )
-    ids = np.array([anchor.id for anchor, _ in observations])
-    rssi = np.array([value for _, value in observations], dtype=float)
-    return [observations[i] for i in kernels.top_k(ids, rssi, k)]
 
 
 def _solve(anchors: tuple[AnchorNode, ...], ranges: tuple[float, ...]) -> PositionEstimate:

@@ -1,4 +1,4 @@
-"""Log-distance path-loss model and stochastic RSSI measurement.
+"""Log-distance path-loss model, its inverse, and the radio parameters.
 
 The deterministic part is the classic log-distance relation: received
 power RSSI(d0) at reference distance d0, falling by 10 n dB per decade
@@ -6,15 +6,15 @@ of distance for path-loss exponent n (kernels.path_loss_rssi holds the
 formula). Measurements add zero-mean Gaussian shadowing in the dB
 domain (log-normal in linear power); a noisy reading that falls below
 receiver sensitivity is reported as absent, mirroring a receiver that
-hears nothing.
+hears nothing. The simulator draws those readings itself, with
+rng.normal and kernels.censored; this module holds the parameters and
+the path-loss inversion that ranging uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels
 from .geometry import Dbm
@@ -23,10 +23,7 @@ __all__ = [
     "PathLossParams",
     "RadioSpec",
     "ShadowingModel",
-    "rssi_at_distance",
     "distance_from_rssi",
-    "sample_measured_rssi",
-    "sample_rssi_window",
 ]
 
 # 200 ft indoor range of a typical 802.15.4 module, converted once to meters.
@@ -85,15 +82,6 @@ class ShadowingModel:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
-def rssi_at_distance(params: PathLossParams, d: float) -> Dbm:
-    """Noise-free received power at distance d, dBm. Requires d > 0."""
-    if d <= 0.0:
-        raise ValueError(f"distance must be > 0, got {d}")
-    return float(
-        kernels.path_loss_rssi(d, params.rssi_at_ref, params.ref_distance, params.exponent)
-    )
-
-
 def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:
     """Invert the path-loss model: distance that produces the given RSSI.
 
@@ -106,32 +94,3 @@ def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:
         kernels.path_loss_range(rssi, params.rssi_at_ref, params.ref_distance, params.exponent)
     )
 
-
-def sample_measured_rssi(
-    params: PathLossParams,
-    spec: RadioSpec,
-    d: float,
-    shadow: ShadowingModel,
-    rng: np.random.Generator,
-) -> Dbm | None:
-    """One noisy RSSI reading at distance d, or None when below sensitivity."""
-    value = float(sample_rssi_window(params, spec, d, shadow, rng, 1)[0])
-    return None if math.isnan(value) else value
-
-
-def sample_rssi_window(
-    params: PathLossParams,
-    spec: RadioSpec,
-    d: float,
-    shadow: ShadowingModel,
-    rng: np.random.Generator,
-    n: int,
-) -> np.ndarray:
-    """n noisy readings at distance d; sub-sensitivity entries are NaN.
-
-    Draws n normals in one call, which consumes the generator stream
-    exactly like n repeated sample_measured_rssi calls.
-    """
-    return kernels.shadowed_readings(
-        rssi_at_distance(params, d), shadow.sigma, spec.sensitivity, rng, n
-    )

@@ -66,7 +66,6 @@ __all__ = [
     "verify_three_coverage",
     "run_scenario",
     "run_batch",
-    "compare_pipelines",
     "compute_metrics",
     "step_errors",
     "FLAVORS",
@@ -480,9 +479,3 @@ def compute_metrics(result: RunResult, flavor: str) -> Metrics:
         unresolved_steps=errors.size - arr.size,
     )
 
-
-def compare_pipelines(s: Scenario) -> tuple[Metrics, Metrics, Metrics]:
-    """Metrics for raw, averaged, and averaged+Kalman estimates from one
-    shared run (paired noise draws)."""
-    result = run_scenario(s)
-    return tuple(compute_metrics(result, flavor) for flavor in FLAVORS)

@@ -15,8 +15,9 @@ noise floor.
 A ChannelEnvironment holds its interference landscape as arrays, built
 once: the 16 x n table of which interferer overlaps which ZigBee
 channel, the interferers' powers in milliwatts and their duty cycles.
-Energy readings and packet outcomes are array lookups into that table
-(kernels.energy_scan sums the milliwatts), so a whole scan is one draw.
+Energy scans (channel.scan_all_channels, which sums the milliwatts in
+kernels.energy_scan) and packet outcomes are array lookups into that
+table, so a whole scan is one draw.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .geometry import Dbm, dbm_to_milliwatts
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "InterfererProfile",
     "ChannelEnvironment",
     "channels_overlap",
-    "channel_energy_sample",
     "packet_success",
 ]
 
@@ -156,24 +155,9 @@ def channels_overlap(z: ZigbeeChannel, w: WifiChannel) -> bool:
     return abs(z.center_mhz - w.center_mhz) < _OVERLAP_THRESHOLD_MHZ
 
 
-def _row(z: ZigbeeChannel) -> int:
-    return z.index - ZIGBEE_CHANNELS[0]
-
-
-def channel_energy_sample(
-    env: ChannelEnvironment, z: ZigbeeChannel, rng: np.random.Generator
-) -> Dbm:
-    """One energy reading on channel z: floor plus active overlapping interferers.
-
-    Powers add in linear milliwatts; the result is converted back to dBm.
-    """
-    return float(kernels.energy_scan(env.draw_active(rng), env.overlap[_row(z)],
-                                     env.powers_mw, env.floor_mw))
-
-
 def packet_success(
     env: ChannelEnvironment, z: ZigbeeChannel, rng: np.random.Generator
 ) -> bool:
     """Whether a packet on channel z survives: it fails iff any overlapping
     interferer is active during the transmission."""
-    return not np.count_nonzero(env.draw_active(rng) & env.overlap[_row(z)])
+    return not np.count_nonzero(env.draw_active(rng) & env.overlap[z.index - ZIGBEE_CHANNELS[0]])

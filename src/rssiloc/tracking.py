@@ -155,16 +155,19 @@ def observation_jacobian(predicted: np.ndarray, anchors: np.ndarray) -> np.ndarr
 
 
 def gain(covariance: np.ndarray, h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Kalman gain E H^T (H E H^T + R)^-1 for n rows of H, as a (2, n)
-    array; LinAlgError if H E H^T + R is singular."""
-    h = np.asarray(h, dtype=float).reshape(-1, 2)
-    n = h.shape[0]
+    """Kalman gain E H^T (H E H^T + R)^-1 for the three rows of H, as a
+    (2, 3) array. H must be 3 x 2 and R 3 x 3, as the filter takes three
+    ranges; LinAlgError if H E H^T + R is singular."""
+    h = np.asarray(h, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if h.shape != (3, 2) or r.shape != (3, 3):
+        raise ValueError(f"gain takes H of shape (3, 2) and R of shape (3, 3), "
+                         f"got {h.shape} and {r.shape}")
     singular, k = kernels.ekf_gain(_flat(np.asarray(covariance, dtype=float)),
-                                   list(map(tuple, h.tolist())),
-                                   _flat(np.asarray(r, dtype=float).reshape(n, n)))
+                                   list(map(tuple, h.tolist())), _flat(r))
     if singular:
         raise np.linalg.LinAlgError("innovation covariance H E H^T + R is singular")
-    return np.array(k, dtype=float).reshape(2, n)
+    return np.array(k, dtype=float)
 
 
 def update(predicted: KalmanState, meas: RangeMeasurement, cfg: KalmanConfig) -> KalmanState:

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -708,13 +710,18 @@ JSON_VALUES = st.integers(-2, 100) | st.floats() | st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(_doc_paths(FULL_DOC))), JSON_VALUES)
 def test_fuzzed_field_never_exits_internal(path, value):
-    """Any JSON value in place of any one field is rejected or run, never a crash."""
+    """Any JSON value in place of any one field is rejected or run, never a
+    crash, and stderr holds nothing but the one error report: no warning."""
     doc = copy.deepcopy(FULL_DOC)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
+    # hypothesis rejects function-scoped fixtures such as capsys
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         scn = Path(tmp) / "s.json"
         scn.write_text(json.dumps(doc))
-        assert main(["simulate", "--scenario", str(scn), "--out", str(Path(tmp) / "o")]) != EXIT_INTERNAL
+        code = main(["simulate", "--scenario", str(scn), "--out", str(Path(tmp) / "o")])
+    assert code != EXIT_INTERNAL
+    assert err.getvalue() == "" or err.getvalue().startswith("error: "), err.getvalue()

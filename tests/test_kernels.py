@@ -119,18 +119,25 @@ def test_path_loss_vectorizes_elementwise():
     assert back.tolist() == [kernels.path_loss_range(v, -45.0, 1.0, 2.0) for v in vec]
 
 
+def shadowed_readings(means, sigma, sensitivity, rng, n):
+    """n readings around each mean as the simulator draws a step's
+    windows: one (beacons, n) normal draw, then censoring."""
+    return kernels.censored(means[:, None] + rng.normal(0.0, sigma, (means.size, n)), sensitivity)
+
+
 def test_shadowed_readings_draw_row_major():
+    # one (k, n) draw consumes the generator exactly like k windows of n
+    # drawn one after another
     means = np.array([-50.0, -60.0, -70.0])
-    block = kernels.shadowed_readings(means, 2.0, -200.0, np.random.default_rng(9), 5)
+    block = shadowed_readings(means, 2.0, -200.0, np.random.default_rng(9), 5)
     rng = np.random.default_rng(9)
-    rows = [kernels.shadowed_readings(m, 2.0, -200.0, rng, 5) for m in means]
+    rows = [shadowed_readings(np.array([m]), 2.0, -200.0, rng, 5)[0] for m in means]
     assert block.shape == (3, 5)
     assert np.array_equal(block, np.stack(rows))
 
 
 def test_shadowed_readings_censor_below_sensitivity():
-    out = kernels.shadowed_readings(np.array([-60.0, -90.0]), 0.0, -75.0,
-                                    np.random.default_rng(0), 3)
+    out = shadowed_readings(np.array([-60.0, -90.0]), 0.0, -75.0, np.random.default_rng(0), 3)
     assert out[0].tolist() == [-60.0] * 3
     assert np.isnan(out[1]).all()
 
@@ -434,24 +441,6 @@ def test_ekf_step_matches_the_matrix_form_oracle(seed, kind):
                                                    tr, ctrl, q, r)
         assert_close(kpos, ref_pos)
         assert_close(kcov, ref_cov)
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 5])
-def test_ekf_gain_by_elimination_matches_numpy(n):
-    # any row count other than three takes the elimination
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        a = rng.uniform(-1.0, 1.0, (2, 2))
-        cov = a @ a.T
-        h = rng.normal(size=(n, 2))
-        b = rng.normal(size=(n, n))
-        r = b @ b.T + np.eye(n)
-        singular, k = kernels.ekf_gain(flat(cov), list(map(tuple, h.tolist())), flat(r))
-        assert not singular
-        ref = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
-        assert_close(np.array(k), ref)
-    singular, k = kernels.ekf_gain(flat(np.zeros((2, 2))), [(1.0, 0.0)] * 2, flat(np.ones((2, 2))))
-    assert singular and k is None
 
 
 def test_ekf_step_flags_anchor_coincidence():

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rssiloc import kernels
 from rssiloc.errors import DegenerateGeometryError, InsufficientAnchorsError
 from rssiloc.geometry import AnchorNode, Point2D
-from rssiloc.localization import (
-    RssiObservation,
-    TrilaterationProblem,
-    aggregate_rssi,
-    least_squares_multilaterate,
-    select_anchors,
-    trilaterate,
-)
-from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel, distance_from_rssi, sample_rssi_window
+from rssiloc.localization import TrilaterationProblem, least_squares_multilaterate, trilaterate
+from rssiloc.radio import PathLossParams, RadioSpec, distance_from_rssi
 
 
 def anchor(i, x, y):
@@ -28,21 +22,29 @@ def exact_ranges(anchors, target):
     return tuple(math.hypot(a.position.x - target[0], a.position.y - target[1]) for a in anchors)
 
 
+def aggregate(samples):
+    """The simulator's window aggregate: the dB-domain mean."""
+    return float(kernels.db_mean(np.array(samples)))
+
+
+def strongest(observations, k=3):
+    """The simulator's anchor choice: the k strongest (anchor, rssi) pairs,
+    RSSI descending, ties to the lower node id."""
+    ids = np.array([a.id for a, _ in observations])
+    rssi = np.array([r for _, r in observations], dtype=float)
+    return [observations[i] for i in kernels.top_k(ids, rssi, k)]
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
 
 def test_aggregate_singleton():
-    assert aggregate_rssi(RssiObservation(TRIANGLE[0], (-60.0,))) == -60.0
+    assert aggregate((-60.0,)) == -60.0
 
 
 def test_aggregate_symmetric_pair():
-    assert aggregate_rssi(RssiObservation(TRIANGLE[0], (-58.0, -62.0))) == -60.0
-
-
-def test_aggregate_empty_rejected():
-    with pytest.raises(ValueError):
-        RssiObservation(TRIANGLE[0], ())
+    assert aggregate((-58.0, -62.0)) == -60.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -51,11 +53,10 @@ def test_aggregate_concentrates_noisy_window(seed):
     # well inside +-2 dB (3.16 sigma of the mean) for any fixed seed
     params = PathLossParams()
     d = distance_from_rssi(params, -60.0)
-    samples = sample_rssi_window(
-        params, RadioSpec(), d, ShadowingModel(2.0), np.random.default_rng(seed), 10
-    )
-    obs = RssiObservation(TRIANGLE[0], tuple(samples))
-    assert abs(aggregate_rssi(obs) - (-60.0)) < 2.0
+    mean = kernels.path_loss_rssi(d, params.rssi_at_ref, params.ref_distance, params.exponent)
+    samples = kernels.censored(mean + np.random.default_rng(seed).normal(0.0, 2.0, 10),
+                               RadioSpec().sensitivity)
+    assert abs(aggregate(samples) - (-60.0)) < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -64,32 +65,27 @@ def test_aggregate_concentrates_noisy_window(seed):
 
 def test_select_exactly_three():
     obs = [(TRIANGLE[i], -60.0 - i) for i in range(3)]
-    assert select_anchors(obs) == obs
+    assert strongest(obs) == obs
 
 
 def test_select_strongest_three_sorted():
     a, b, c, d = (anchor(i, i, 0) for i in range(4))
     obs = [(a, -60.0), (b, -55.0), (c, -70.0), (d, -58.0)]
-    assert [o[0] for o in select_anchors(obs, 3)] == [b, d, a]
+    assert [o[0] for o in strongest(obs, 3)] == [b, d, a]
 
 
 def test_select_tie_breaks_to_lower_id():
     a4, a7 = anchor(4, 0, 0), anchor(7, 1, 0)
     obs = [(anchor(1, 2, 0), -50.0), (anchor(2, 3, 0), -55.0), (a7, -60.0), (a4, -60.0)]
-    chosen = select_anchors(obs, 3)
+    chosen = strongest(obs, 3)
     assert chosen[-1][0] == a4
-
-
-def test_select_insufficient():
-    with pytest.raises(InsufficientAnchorsError):
-        select_anchors([(TRIANGLE[0], -60.0)], 3)
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.floats(-90, -30)), min_size=3, max_size=10,
                 unique_by=lambda t: t[0]))
 def test_selected_rssi_dominates_excluded(items):
     obs = [(anchor(i, float(i), 0.0), r) for i, r in items]
-    chosen = select_anchors(obs, 3)
+    chosen = strongest(obs, 3)
     floor = min(r for _, r in chosen)
     excluded = [r for a, r in obs if (a, r) not in chosen]
     assert all(r <= floor for r in excluded)
@@ -220,11 +216,4 @@ def test_translation_equivariance(tri, tx, ty, ox, oy):
 def test_pipeline_consistency_ranging_of_aggregated_cleans_samples(d):
     params = PathLossParams()
     rssi = params.rssi_at_ref - 10 * params.exponent * math.log10(d / params.ref_distance)
-    obs = RssiObservation(TRIANGLE[0], (rssi,) * 10)
-    assert distance_from_rssi(params, aggregate_rssi(obs)) == pytest.approx(d, rel=1e-9)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_observation_rejects_non_finite_samples(bad):
-    with pytest.raises(ValueError):
-        RssiObservation(TRIANGLE[0], (-60.0, bad, -62.0))
+    assert distance_from_rssi(params, aggregate((rssi,) * 10)) == pytest.approx(d, rel=1e-9)

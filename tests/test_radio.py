@@ -4,26 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rssiloc.radio import (
-    PathLossParams,
-    RadioSpec,
-    ShadowingModel,
-    distance_from_rssi,
-    rssi_at_distance,
-    sample_measured_rssi,
-    sample_rssi_window,
-)
+from rssiloc import kernels
+from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel, distance_from_rssi
 
 DEFAULTS = PathLossParams()
 
 
+def noise_free_rssi(params, d):
+    """The simulator's noise-free received power at distance d."""
+    return kernels.path_loss_rssi(d, params.rssi_at_ref, params.ref_distance, params.exponent)
+
+
+def measured_window(params, spec, d, shadow, rng, n):
+    """n readings at distance d drawn as the simulator draws a window:
+    shadowing normals, then NaN below sensitivity."""
+    return kernels.censored(noise_free_rssi(params, d) + rng.normal(0.0, shadow.sigma, n),
+                            spec.sensitivity)
+
+
 def test_reference_distance_gives_reference_power():
-    assert rssi_at_distance(DEFAULTS, 1.0) == -45.0
+    assert noise_free_rssi(DEFAULTS, 1.0) == -45.0
 
 
 def test_decade_attenuation():
     # -45 - 10*2*log10(10)
-    assert rssi_at_distance(DEFAULTS, 10.0) == pytest.approx(-65.0, abs=1e-12)
+    assert noise_free_rssi(DEFAULTS, 10.0) == pytest.approx(-65.0, abs=1e-12)
 
 
 @given(
@@ -33,15 +38,7 @@ def test_decade_attenuation():
 )
 def test_reference_point_for_any_params(ref_rssi, d0, n):
     params = PathLossParams(ref_rssi, d0, n)
-    assert rssi_at_distance(params, d0) == pytest.approx(ref_rssi, abs=1e-9)
-
-
-@pytest.mark.parametrize("d", [0.0, -1.0])
-def test_nonpositive_distance_rejected(d):
-    with pytest.raises(ValueError):
-        rssi_at_distance(DEFAULTS, d)
-    with pytest.raises(ValueError):
-        sample_measured_rssi(DEFAULTS, RadioSpec(), d, ShadowingModel(0.0), np.random.default_rng(0))
+    assert noise_free_rssi(params, d0) == pytest.approx(ref_rssi, abs=1e-9)
 
 
 def test_ranging_hand_value():
@@ -55,7 +52,7 @@ def test_ranging_reference_point():
 
 @given(st.floats(min_value=0.1, max_value=100))
 def test_ranging_round_trip(d):
-    assert distance_from_rssi(DEFAULTS, rssi_at_distance(DEFAULTS, d)) == pytest.approx(
+    assert distance_from_rssi(DEFAULTS, noise_free_rssi(DEFAULTS, d)) == pytest.approx(
         d, rel=1e-9
     )
 
@@ -69,17 +66,16 @@ def test_monotone_decay(d1, d2):
     # log10 rounds adjacent distances such as 15.0 and its successor to one
     # value, so the decay is strict only beyond that rounding
     lo, hi = sorted((d1, d2))
-    rssi_lo, rssi_hi = rssi_at_distance(DEFAULTS, lo), rssi_at_distance(DEFAULTS, hi)
+    rssi_lo, rssi_hi = noise_free_rssi(DEFAULTS, lo), noise_free_rssi(DEFAULTS, hi)
     assert rssi_lo >= rssi_hi
     if hi > lo * (1 + 1e-9):
         assert rssi_lo > rssi_hi
 
 
 def test_zero_noise_measurement():
-    got = sample_measured_rssi(
-        DEFAULTS, RadioSpec(), 1.0, ShadowingModel(0.0), np.random.default_rng(1)
-    )
-    assert got == -45.0
+    got = measured_window(DEFAULTS, RadioSpec(), 1.0, ShadowingModel(0.0),
+                          np.random.default_rng(1), 1)
+    assert got.tolist() == [-45.0]
 
 
 def test_out_of_range_is_absent():
@@ -89,32 +85,33 @@ def test_out_of_range_is_absent():
     assert threshold == pytest.approx(1258.9254117941675)
     spec = RadioSpec()
     rng = np.random.default_rng(2)
-    assert sample_measured_rssi(DEFAULTS, spec, threshold * 1.01, ShadowingModel(0.0), rng) is None
-    assert sample_measured_rssi(DEFAULTS, spec, threshold * 0.99, ShadowingModel(0.0), rng) is not None
+    assert np.isnan(measured_window(DEFAULTS, spec, threshold * 1.01, ShadowingModel(0.0), rng, 1)[0])
+    assert not np.isnan(measured_window(DEFAULTS, spec, threshold * 0.99, ShadowingModel(0.0), rng, 1)[0])
 
 
 def test_measurement_determinism():
-    a = sample_measured_rssi(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(2.0), np.random.default_rng(7))
-    b = sample_measured_rssi(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(2.0), np.random.default_rng(7))
-    assert a == b
+    a = measured_window(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(2.0), np.random.default_rng(7), 1)
+    b = measured_window(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(2.0), np.random.default_rng(7), 1)
+    assert a.tolist() == b.tolist()
 
 
 def test_shadowing_sample_mean():
     sigma = 2.0
     n = 100_000
     rng = np.random.default_rng(11)
-    samples = sample_rssi_window(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(sigma), rng, n)
+    samples = measured_window(DEFAULTS, RadioSpec(), 10.0, ShadowingModel(sigma), rng, n)
     assert not np.any(np.isnan(samples))
-    assert abs(samples.mean() - rssi_at_distance(DEFAULTS, 10.0)) < 3 * sigma / math.sqrt(n)
+    assert abs(samples.mean() - noise_free_rssi(DEFAULTS, 10.0)) < 3 * sigma / math.sqrt(n)
 
 
 def test_window_matches_repeated_single_samples():
-    # the vectorized window consumes the generator exactly like repeated
-    # single draws, so both give the same readings for the same seed
-    window = sample_rssi_window(DEFAULTS, RadioSpec(), 5.0, ShadowingModel(2.0), np.random.default_rng(3), 8)
+    # a window of n normals consumes the generator exactly like n single
+    # draws, so the simulator's block and per-step draws give the same
+    # readings for the same seed
+    window = measured_window(DEFAULTS, RadioSpec(), 5.0, ShadowingModel(2.0), np.random.default_rng(3), 8)
     rng = np.random.default_rng(3)
     singles = [
-        sample_measured_rssi(DEFAULTS, RadioSpec(), 5.0, ShadowingModel(2.0), rng)
+        measured_window(DEFAULTS, RadioSpec(), 5.0, ShadowingModel(2.0), rng, 1)[0]
         for _ in range(8)
     ]
     assert window.tolist() == singles

@@ -14,8 +14,8 @@ from rssiloc.simulate import (
     DeploymentPlan,
     RunResult,
     Scenario,
+    FLAVORS,
     _lattice_1d,
-    compare_pipelines,
     compute_metrics,
     plan_square_grid_deployment,
     run_batch,
@@ -368,8 +368,10 @@ def oracle_run(s):
         tx, ty = true[step]
         dist = np.hypot(beacon_x - tx, beacon_y - ty)
         true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
-        readings = kernels.shadowed_readings(
-            true_rssi, s.shadowing.sigma, s.radio.sensitivity, rng, s.aggregation_window
+        readings = kernels.censored(
+            true_rssi[:, None] + rng.normal(0.0, s.shadowing.sigma,
+                                            (len(s.beacons), s.aggregation_window)),
+            s.radio.sensitivity,
         )
         agg = rssi[step] = kernels.db_mean(readings)
 
@@ -731,24 +733,28 @@ def test_metrics_zero_error():
     assert m.max_error < 1e-9
 
 
+def flavor_metrics(result):
+    """Metrics of the raw, averaged and kalman flavors of one run."""
+    return tuple(compute_metrics(result, flavor) for flavor in FLAVORS)
+
+
 def test_compare_zero_noise_all_exact():
-    raw, avg, kf = compare_pipelines(triangle_scenario(seed=4, steps=30))
+    raw, avg, kf = flavor_metrics(run_scenario(triangle_scenario(seed=4, steps=30)))
     assert raw.rmse < 1e-6 and avg.rmse < 1e-6 and kf.rmse < 1e-6
 
 
 def test_compare_noise_suppression_ordering():
-    raw, avg, kf = compare_pipelines(triangle_scenario(seed=0, steps=200, sigma=2.0))
+    raw, avg, kf = flavor_metrics(run_scenario(triangle_scenario(seed=0, steps=200, sigma=2.0)))
     assert raw.rmse > 1.05 * avg.rmse
     assert avg.rmse > 1.05 * kf.rmse
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0])
 def test_smoothing_ordering_across_seeds(sigma):
+    # run_batch gives each seed the run of that seed alone
     wins = 0
-    for seed in range(100):
-        raw, avg, kf = compare_pipelines(
-            triangle_scenario(seed=seed, steps=200, sigma=sigma)
-        )
+    for result in run_batch(triangle_scenario(seed=0, steps=200, sigma=sigma), range(100)):
+        raw, avg, kf = flavor_metrics(result)
         if raw.rmse >= avg.rmse >= kf.rmse:
             wins += 1
     assert wins >= 95

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from rssiloc.channel import ScanConfig, scan_all_channels
 from rssiloc.spectrum import (
     ZIGBEE_CHANNELS,
     ChannelEnvironment,
     InterfererProfile,
     WifiChannel,
     ZigbeeChannel,
-    channel_energy_sample,
     channels_overlap,
     packet_success,
 )
+
+
+def scan_means(env, rng, samples=1):
+    """Mean energy per ZigBee channel index from one scan; with one sample
+    a channel's mean is its single reading."""
+    report = scan_all_channels(env, ScanConfig(samples_per_channel=samples), rng)
+    return {r.channel.index: r.mean_energy for r in report.records}
 
 
 def test_channel_centers():
@@ -64,7 +71,7 @@ def test_environment_tables_stay_out_of_equality_and_repr():
 def test_energy_empty_environment_is_floor():
     env = ChannelEnvironment(noise_floor=-100.0)
     rng = np.random.default_rng(0)
-    assert channel_energy_sample(env, ZigbeeChannel(11), rng) == -100.0
+    assert scan_means(env, rng)[11] == -100.0
 
 
 def test_energy_single_always_on_interferer():
@@ -74,7 +81,7 @@ def test_energy_single_always_on_interferer():
     )
     expected = 10 * math.log10(10**-7 + 10**-10)  # powers summed in milliwatts
     assert expected == pytest.approx(-69.99565922520682)
-    got = channel_energy_sample(env, ZigbeeChannel(12), np.random.default_rng(0))
+    got = scan_means(env, np.random.default_rng(0))[12]
     assert got == pytest.approx(expected, abs=1e-4)
 
 
@@ -83,7 +90,7 @@ def test_energy_ignores_nonoverlapping_interferer():
         interferers=(InterfererProfile(WifiChannel(1), -70.0, 1.0),),
         noise_floor=-100.0,
     )
-    got = channel_energy_sample(env, ZigbeeChannel(20), np.random.default_rng(0))
+    got = scan_means(env, np.random.default_rng(0))[20]
     assert got == -100.0
 
 
@@ -95,9 +102,8 @@ def test_energy_never_below_floor():
         ),
         noise_floor=-100.0,
     )
-    for z in ZIGBEE_CHANNELS:
-        for _ in range(50):
-            assert channel_energy_sample(env, ZigbeeChannel(z), rng) >= -100.0
+    for _ in range(50):
+        assert all(mean >= -100.0 for mean in scan_means(env, rng).values())
 
 
 def test_interfered_channel_reads_hotter_than_clean():
@@ -106,9 +112,8 @@ def test_interfered_channel_reads_hotter_than_clean():
         interferers=(InterfererProfile(WifiChannel(1), -70.0, 0.5),),
         noise_floor=-100.0,
     )
-    hot = np.array([channel_energy_sample(env, ZigbeeChannel(12), rng) for _ in range(10_000)])
-    cold = np.array([channel_energy_sample(env, ZigbeeChannel(20), rng) for _ in range(10_000)])
-    assert hot.mean() > cold.mean() + 10.0
+    means = scan_means(env, rng, samples=10_000)
+    assert means[12] > means[20] + 10.0
 
 
 def test_packet_always_succeeds_without_interference():
@@ -147,5 +152,6 @@ def test_power_levels_stay_within_milliwatt_range():
             ChannelEnvironment(noise_floor=bad)
     env = ChannelEnvironment((InterfererProfile(WifiChannel(1), 3000.0, 1.0),), -3000.0)
     rng = np.random.default_rng(0)
-    assert channel_energy_sample(env, ZigbeeChannel(11), rng) == pytest.approx(3000.0)
-    assert channel_energy_sample(env, ZigbeeChannel(26), rng) == pytest.approx(-3000.0)
+    means = scan_means(env, rng)
+    assert means[11] == pytest.approx(3000.0)
+    assert means[26] == pytest.approx(-3000.0)
