@@ -63,8 +63,10 @@ class ScenarioFileError(Exception):
 # the trajectory's step count, the samples drawn per scan channel or
 # per aggregation window, the interferer count (a scan draws 16 x samples
 # x interferers uniforms at once), the seeds of a `--seeds` sweep, the
-# beacon count, and trajectory steps x beacons (a run holds one float of
-# aggregated RSSI per step and beacon; 10**7 of them are 80 MB).
+# beacon count, and trajectory steps x beacons (a run holds the true and
+# the aggregated RSSI, one float each per step and beacon, and a sweep
+# keeps the run it last wrote while the next one runs: three such arrays,
+# 80 MB each at 10**7).
 MAX_STEPS = 100_000
 MAX_SAMPLES = 1_000
 MAX_INTERFERERS = 256

@@ -11,25 +11,22 @@ step. Three estimate flavors are recorded from the same random draws:
     averaged  lateration on the window means
     kalman    averaged estimate passed through the range filter
 
-run_batch runs one scenario for many seeds at once, stage by stage over
-seeds x steps rather than step by step:
+run_batch runs one scenario for many seeds, one seed after another. Each
+seed keeps its own generator, monitor and filter chain, so its columns
+are bit-identical to a run of that seed alone; run_scenario is the batch
+of one. A seed's run goes stage by stage over blocks of steps, each
+holding at most STEP_BLOCK_READINGS window readings:
 
-    draw       per seed and step, in a lone run's order: the packet
-               uniforms, the monitor and any rescan, then one window of
-               shadowing normals per beacon into a buffer; with no
-               interferer, one draw per seed and step block
+    draw       in a lone run's order, per step: the packet uniforms, the
+               monitor and any rescan, then one window of shadowing
+               normals per beacon; with no interferer, one draw per block
     stateless  readings, aggregation, top-3, ranging and lateration of
-               both flavors as array expressions over (seeds, steps, ...)
-    filter     per seed, its fix steps in order, each one scalar
-               kernels.ekf_step on Python floats; the seeds after a
-               diverged one are not filtered, as no result keeps them
+               both flavors as array expressions over the block's steps
+    filter     after the last block, the fix steps in order, each one
+               scalar kernels.ekf_step on Python floats
 
-Each seed keeps its own generator, so its columns are bit-identical to a
-run of that seed alone; run_scenario is the batch of one. Seeds run in
-chunks and window readings in step blocks (batch_plan), so a batch holds
-about as much memory as one run. run_batch yields each seed's run as its
-chunk finishes; when a seed's filter diverges it raises after yielding
-the seeds before it.
+run_batch yields each seed's run as it finishes; when a seed's filter
+diverges it raises after yielding the seeds before it.
 
 A run returns its results as columns, one row per trajectory step
 (RunResult): the true position, each flavor's estimate (NaN where the
@@ -78,11 +75,9 @@ _MAX_PLANNED_BEACONS = 1_000_000
 _MAX_LATTICE_POINTS = 4_000_000
 _MAX_COVERAGE_PAIRS = 1_000_000_000
 
-# run_batch's memory bounds (see batch_plan): aggregated readings per seed
-# chunk, as many as one run at the input cap holds, and window readings per
-# step block (64 KiB of them), so a batch adds little to what one run holds.
-# Larger blocks save no time and raise peak memory by their temporaries.
-SEED_CHUNK_CELLS = 10_000_000
+# run_batch's bound on the window readings of one step block (64 KiB of
+# them); larger blocks save no time and raise peak memory by their
+# temporaries.
 STEP_BLOCK_READINGS = 1 << 13
 
 
@@ -272,26 +267,12 @@ def verify_three_coverage(
 # pipeline execution
 
 
-def batch_plan(n_seeds: int, n_steps: int, n_beacons: int, window: int) -> tuple[int, int]:
-    """(seeds per chunk, steps per block) of run_batch for this many seeds
-    of a scenario of this shape. A chunk holds at most SEED_CHUNK_CELLS
-    aggregated readings (seeds x steps x beacons) and a block at most
-    STEP_BLOCK_READINGS window readings (chunk seeds x block steps x
-    beacons x window), unless one seed or one step alone holds more, as a
-    run of that seed alone does; each holds at least one."""
-    per_step = n_beacons * window
-    chunk = max(1, min(n_seeds, SEED_CHUNK_CELLS // (n_steps * n_beacons),
-                       STEP_BLOCK_READINGS // per_step))
-    block = max(1, min(n_steps, STEP_BLOCK_READINGS // (chunk * per_step)))
-    return chunk, block
-
-
 def run_batch(s: Scenario, seeds) -> Iterator[RunResult]:
     """Run the full pipeline over the scenario trajectory once per seed;
     s.seed is ignored. Yields one RunResult per seed, in order, each
-    bit-identical to the run of that seed alone. Seeds run one chunk at
-    a time (batch_plan), so a caller that consumes each run as it comes
-    holds one chunk's results at most.
+    bit-identical to the run of that seed alone. A seed runs only when
+    its result is asked for, so a caller that consumes each run as it
+    comes holds one run's results at most.
 
     Steps where fewer than three beacons are heard degrade gracefully:
     their estimate rows stay NaN and the run continues. The Kalman chain
@@ -303,13 +284,20 @@ def run_batch(s: Scenario, seeds) -> Iterator[RunResult]:
     seeds = [int(seed) for seed in seeds]
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
-    chunk, block = batch_plan(len(seeds), len(s.trajectory), len(s.beacons),
-                              s.aggregation_window)
-    for first in range(0, len(seeds), chunk):
-        results, diverged = _run_chunk(s, seeds[first:first + chunk], block)
-        yield from results
-        if diverged is not None:
-            raise FilterDivergenceError(f"range filter diverged at step {diverged}")
+    pl, cfg = s.path_loss, s.kalman
+    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+    beacon_ids = np.array([b.id for b in s.beacons])
+    beacon_x = np.array([b.position.x for b in s.beacons])
+    beacon_y = np.array([b.position.y for b in s.beacons])
+    # the (T, n_beacons) distances are a temporary of this call: a
+    # generator's frame would hold them for the whole sweep
+    true_rssi = kernels.path_loss_rssi(
+        np.hypot(beacon_x - true[:, 0, None], beacon_y - true[:, 1, None]),
+        pl.rssi_at_ref, pl.ref_distance, pl.exponent)
+    matrices = tuple(tuple(m.ravel().tolist()) for m in (
+        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise))
+    for seed in seeds:
+        yield _run_seed(s, seed, true, beacon_ids, beacon_x, beacon_y, true_rssi, matrices)
 
 
 def run_scenario(s: Scenario) -> RunResult:
@@ -317,47 +305,38 @@ def run_scenario(s: Scenario) -> RunResult:
     return next(run_batch(s, [s.seed]))
 
 
-def _run_chunk(s: Scenario, seeds: list[int], block: int):
-    """Runs of a chunk of seeds, stage by stage. Returns the results of
-    the seeds before the first diverged one (all of them when none
-    diverged) and that seed's divergence step, or None."""
-    n_seeds, n_steps, n_beacons = len(seeds), len(s.trajectory), len(s.beacons)
-    pl = s.path_loss
-    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
-    beacon_x = np.array([b.position.x for b in s.beacons])
-    beacon_y = np.array([b.position.y for b in s.beacons])
-    beacon_ids = np.array([b.id for b in s.beacons])
-    dist = np.hypot(beacon_x - true[:, 0, None], beacon_y - true[:, 1, None])
-    true_rssi = kernels.path_loss_rssi(dist, pl.rssi_at_ref, pl.ref_distance, pl.exponent)
-
-    raw = np.empty((n_seeds, n_steps, 2))
-    averaged = np.empty((n_seeds, n_steps, 2))
-    channel = np.empty((n_seeds, n_steps), dtype=np.int64)
-    rssi = np.empty((n_seeds, n_steps, n_beacons))
-    status = np.empty((n_seeds, n_steps), dtype=np.int8)
+def _run_seed(s: Scenario, seed: int, true, beacon_ids, beacon_x, beacon_y, true_rssi,
+              matrices) -> RunResult:
+    """The run of one seed, stage by stage over blocks of steps that hold
+    at most STEP_BLOCK_READINGS window readings, or one step."""
+    n_steps, n_beacons = true_rssi.shape
+    pl, window = s.path_loss, s.aggregation_window
+    block = max(1, min(n_steps, STEP_BLOCK_READINGS // (n_beacons * window)))
+    raw = np.empty((n_steps, 2))
+    averaged = np.empty((n_steps, 2))
+    channel = np.empty(n_steps, dtype=np.int64)
+    rssi = np.empty((n_steps, n_beacons))
+    status = np.empty(n_steps, dtype=np.int8)
     k = min(3, n_beacons)
-    anchor_x = np.empty((n_seeds, n_steps, k))
-    anchor_y = np.empty((n_seeds, n_steps, k))
-    ranges = np.empty((n_seeds, n_steps, k))
+    anchor_x = np.empty((n_steps, k))
+    anchor_y = np.empty((n_steps, k))
+    ranges = np.empty((n_steps, k))
 
-    # Draw stage: each seed's generator, called in the order of a lone run.
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    monitors = [ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)))
-                for rng in rngs]
-    noise = np.empty((n_seeds, block, n_beacons, s.aggregation_window))
+    rng = np.random.default_rng(seed)
+    monitor = ChannelMonitor(select_channel(scan_all_channels(s.environment, s.scan, rng)))
+    noise = np.empty((block, n_beacons, window))
     # With no interferer a packet's draw is empty, which leaves the
     # generator as it was, and the packet never fails, so the channel
-    # stays put; a seed's noise for a block is then one draw, bit-equal
-    # to one window draw per step.
+    # stays put; the noise for a block is then one draw, bit-equal to one
+    # window draw per step.
     quiet = not s.environment.interferers
     for t0 in range(0, n_steps, block):
         t1 = min(t0 + block, n_steps)
-        for b, (rng, monitor) in enumerate(zip(rngs, monitors)):
-            if quiet:
-                channel[b, t0:t1] = monitor.active_channel.index
-                noise[b, :t1 - t0] = rng.normal(0.0, s.shadowing.sigma,
-                                                (t1 - t0, *noise.shape[2:]))
-                continue
+        # Draw stage: the generator called in a lone run's step order.
+        if quiet:
+            channel[t0:t1] = monitor.active_channel.index
+            noise[:t1 - t0] = rng.normal(0.0, s.shadowing.sigma, (t1 - t0, n_beacons, window))
+        else:
             for t in range(t0, t1):
                 # Fig.-3 loop: one packet exchange per step on the active
                 # channel, rescan when the failure window trips.
@@ -366,32 +345,28 @@ def _run_chunk(s: Scenario, seeds: list[int], block: int):
                 if monitor.should_rescan():
                     report = scan_all_channels(s.environment, s.scan, rng)
                     monitor.switch_to(select_channel(report))
-                channel[b, t] = monitor.active_channel.index
-                noise[b, t - t0] = rng.normal(0.0, s.shadowing.sigma, noise.shape[2:])
+                channel[t] = monitor.active_channel.index
+                noise[t - t0] = rng.normal(0.0, s.shadowing.sigma, (n_beacons, window))
 
         # Stateless stage: readings, aggregation, top-3, ranging and
-        # lateration for every seed and step of the block at once. A value
-        # beyond the float range becomes inf or NaN, which the fix status
-        # reports.
+        # lateration for every step of the block at once. A value beyond
+        # the float range becomes inf or NaN, which the fix status reports.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:, :t1 - t0],
+            readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:t1 - t0],
                                         s.radio.sensitivity)
-            agg = rssi[:, t0:t1] = kernels.db_mean(readings)
+            agg = rssi[t0:t1] = kernels.db_mean(readings)
             fix_status, xy, _, _ = _fixes(readings[..., 0], beacon_ids, beacon_x, beacon_y, pl)
-            raw[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+            raw[t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
             fix_status, xy, sel, fix_ranges = _fixes(agg, beacon_ids, beacon_x, beacon_y, pl)
-            averaged[:, t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
-            status[:, t0:t1] = fix_status
-            anchor_x[:, t0:t1] = beacon_x[sel]
-            anchor_y[:, t0:t1] = beacon_y[sel]
-            ranges[:, t0:t1] = fix_ranges
+            averaged[t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+            status[t0:t1] = fix_status
+            anchor_x[t0:t1] = beacon_x[sel]
+            anchor_y[t0:t1] = beacon_y[sel]
+            ranges[t0:t1] = fix_ranges
 
-    # Filter stage: each seed's fix steps in order.
-    kalman, diverged = _filter(s.kalman, averaged, status, anchor_x, anchor_y, ranges)
-    stop = n_seeds if diverged is None else diverged[0]
-    results = [RunResult(true.copy(), raw[b], averaged[b], kalman[b], channel[b], rssi[b],
-                         status[b]) for b in range(stop)]
-    return results, None if diverged is None else diverged[1]
+    # Filter stage: the fix steps in order.
+    kalman = _filter(matrices, averaged, status, anchor_x, anchor_y, ranges)
+    return RunResult(true.copy(), raw, averaged, kalman, channel, rssi, status)
 
 
 def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):
@@ -409,41 +384,36 @@ def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):
     return fix_status, np.stack((x, y), axis=-1), sel, ranges
 
 
-def _filter(cfg: KalmanConfig, averaged, status, anchor_x, anchor_y, ranges):
-    """Run the range filter over each seed's averaged fixes in step order,
-    and mark EKF skips (a prediction on an anchor) as status 3 in place.
-    Returns the (B, T, 2) filtered estimates and (first diverged seed, its
-    step), or None when no seed diverged; the seeds after a diverged one
-    are not run."""
-    n_seeds, n_steps = status.shape
-    kalman = np.full((n_seeds, n_steps, 2), np.nan)
-    st, ctrl, q, r = (tuple(m.ravel().tolist()) for m in (
-        cfg.state_transition, cfg.control, cfg.process_noise, cfg.measurement_noise))
-    for b in range(n_seeds):
-        steps = np.flatnonzero(status[b] == 0).tolist()
-        if not steps:
-            continue
-        # First fix seeds the filter: zero initial covariance, the next
-        # prediction injects Q.
-        px, py = averaged[b, steps[0]].tolist()
-        cov = (0.0, 0.0, 0.0, 0.0)
-        done, estimates = [steps[0]], [(px, py)]
-        ax, ay, z = anchor_x[b].tolist(), anchor_y[b].tolist(), ranges[b].tolist()
-        for t in steps[1:]:
-            code, qx, qy, qcov = kernels.ekf_step(px, py, cov, ax[t], ay[t], z[t],
-                                                   st, ctrl, q, r)
-            if code == 0:
-                px, py, cov = qx, qy, qcov
-                done.append(t)
-                estimates.append((px, py))
-            elif code == 1:
-                # a prediction landing on an anchor keeps the previous
-                # state and leaves this step's filtered estimate absent
-                status[b, t] = 3
-            else:
-                return kalman, (b, t)
-        kalman[b, done] = estimates
-    return kalman, None
+def _filter(matrices, averaged, status, anchor_x, anchor_y, ranges):
+    """Run the range filter over the averaged fixes in step order, and
+    mark EKF skips (a prediction on an anchor) as status 3 in place.
+    `matrices` holds the transition, control, Q and R as flat tuples.
+    Returns the (T, 2) filtered estimates; raises FilterDivergenceError
+    naming the step where the filter diverges."""
+    kalman = np.full((len(status), 2), np.nan)
+    steps = np.flatnonzero(status == 0).tolist()
+    if not steps:
+        return kalman
+    # First fix seeds the filter: zero initial covariance, the next
+    # prediction injects Q.
+    px, py = averaged[steps[0]].tolist()
+    cov = (0.0, 0.0, 0.0, 0.0)
+    done, estimates = [steps[0]], [(px, py)]
+    ax, ay, z = anchor_x.tolist(), anchor_y.tolist(), ranges.tolist()
+    for t in steps[1:]:
+        code, qx, qy, qcov = kernels.ekf_step(px, py, cov, ax[t], ay[t], z[t], *matrices)
+        if code == 0:
+            px, py, cov = qx, qy, qcov
+            done.append(t)
+            estimates.append((px, py))
+        elif code == 1:
+            # a prediction landing on an anchor keeps the previous state
+            # and leaves this step's filtered estimate absent
+            status[t] = 3
+        else:
+            raise FilterDivergenceError(f"range filter diverged at step {t}")
+    kalman[done] = estimates
+    return kalman
 
 
 # ---------------------------------------------------------------------------

@@ -573,12 +573,12 @@ def test_seed_sweep_parses_and_prechecks_once(tmp_path, monkeypatch):
     assert seeds == [42, 43, 44, 45]
 
 
-def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch):
-    """Sweep three seeds with the second seed's filter diverging at step 5;
-    check that the sweep exits 3 there with the first seed's outputs
-    written as a lone run writes them. The filter runs seed after seed,
-    and every step of this scenario resolves: the first seed steps at steps
-    1 to 24 of 25, so the 24 + 5th step call is the second seed's step 5."""
+def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
+    # three seeds with the second seed's filter diverging at step 5: the
+    # sweep exits 3 there, with the first seed's outputs written as a lone
+    # run writes them before the diverging seed runs. Every step of this
+    # scenario resolves, so the first seed steps at steps 1 to 24 of 25,
+    # and the 24 + 5th step call is the second seed's step 5.
     from rssiloc import kernels
 
     real = kernels.ekf_step
@@ -599,20 +599,6 @@ def sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["seed_42"]
     for name in ("steps.csv", "summary.json"):
         assert (out / "seed_42" / name).read_bytes() == (alone / name).read_bytes()
-
-
-def test_sweep_divergence_keeps_earlier_outputs(tmp_path, capsys, monkeypatch):
-    # one chunk holds the three seeds
-    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch)
-
-
-def test_sweep_divergence_keeps_earlier_outputs_across_chunks(tmp_path, capsys, monkeypatch):
-    # one seed per chunk: the first seed is written before the diverging
-    # chunk runs
-    from rssiloc import simulate
-
-    monkeypatch.setattr(simulate, "SEED_CHUNK_CELLS", 25 * len(TRIANGLE_BEACONS))
-    sweep_diverging_at_the_second_seed(tmp_path, capsys, monkeypatch)
 
 
 @st.composite

@@ -9,12 +9,25 @@ After an intended output change, print the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste it over GOLDEN.
+and paste it over GOLDEN. To see which cells a change moves, run every
+case with this tree's program and with the one in another checkout:
+
+    PYTHONPATH=src python tests/test_golden.py --against DIR
+
+For each output file that differs it prints the changed cells (DIR's
+text, then this tree's) and the largest |delta| per CSV column or JSON
+path, and exits 1; it prints nothing when every file is equal.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import json
+import math
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -228,7 +241,131 @@ def test_cli_outputs_match_golden(name, tmp_path):
     assert run_case(name, tmp_path) == GOLDEN[name]
 
 
+def _delta(a, b) -> float:
+    """|a - b| of two numbers or number texts; inf when either is not a
+    finite number."""
+    try:
+        delta = abs(float(a) - float(b))
+    except (TypeError, ValueError):
+        return math.inf
+    return delta if math.isfinite(delta) else math.inf
+
+
+def _csv_cells(path: Path) -> dict:
+    """(row, column name) -> cell text of a CSV with a header line; a row
+    wider or narrower than the header keys its cells by column number."""
+    header, *rows = csv.reader(path.read_text().splitlines())
+    return {(i, header[j] if j < len(header) else str(j)): cell
+            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def _json_leaves(obj, path="") -> dict:
+    """JSON path -> leaf value, list indices written [i]."""
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return {path: obj}
+    return {leaf: v for key, value in items for leaf, v in _json_leaves(value, key).items()}
+
+
+def diff_file(old: Path, new: Path) -> list[str]:
+    """Lines naming each cell that differs between two CSV or JSON
+    outputs, then the largest |delta| per CSV column or per JSON path
+    (list indices folded to [])."""
+    if old.suffix == ".csv":
+        cells = _csv_cells(old), _csv_cells(new)
+        name, group = (lambda key: f"row {key[0]} {key[1]}"), (lambda key: key[1])
+    else:
+        cells = _json_leaves(json.loads(old.read_text())), _json_leaves(json.loads(new.read_text()))
+        name, group = str, (lambda key: re.sub(r"\[\d+\]", "[]", key))
+    missing = object()
+    keys = [*cells[0], *(key for key in cells[1] if key not in cells[0])]
+    changed = [(key, cells[0].get(key, missing), cells[1].get(key, missing)) for key in keys
+               if cells[0].get(key, missing) != cells[1].get(key, missing)]
+    largest = {}
+    lines = []
+    for key, a, b in changed:
+        lines.append(f"  {name(key)}: {'(none)' if a is missing else a} -> "
+                     f"{'(none)' if b is missing else b}")
+        largest[group(key)] = max(largest.get(group(key), 0.0), _delta(a, b))
+    lines.append("  max |delta|: " + ", ".join(f"{g} {d:.3g}" for g, d in largest.items()))
+    return lines
+
+
+def diff_against(other: Path) -> int:
+    """Run every case with this tree's program and with other/src's, each
+    in a child process, and print the cells that differ; returns 1 when
+    any output differs, else 0."""
+    here = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for tree, label in ((other, "against"), (here, "here")):
+            work = Path(tmp) / label
+            env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+            subprocess.run([sys.executable, __file__, "--write", str(work)], env=env,
+                           check=True, stdout=subprocess.DEVNULL)
+            outputs.append(work)
+        differs = False
+        for case in sorted(CASES):
+            old, new = (work / case / "out" for work in outputs)
+            files = sorted({p.relative_to(root).as_posix()
+                            for root in (old, new) for p in root.rglob("*") if p.is_file()})
+            for rel in files:
+                a, b = old / rel, new / rel
+                if a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes():
+                    continue
+                differs = True
+                if not (a.is_file() and b.is_file()):
+                    print(f"{case}/{rel}: only in {'here' if b.is_file() else 'against'}")
+                    continue
+                print(f"{case}/{rel}:")
+                print("\n".join(diff_file(a, b)))
+    return int(differs)
+
+
+def test_diff_file_names_each_changed_cell(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("step,x,y\n0,1.0,2.0\n1,3.0,nan\n")
+    new.write_text("step,x,y\n0,1.5,2.0\n1,3.25,4.0\n")
+    assert diff_file(old, new) == [
+        "  row 0 x: 1.0 -> 1.5",
+        "  row 1 x: 3.0 -> 3.25",
+        "  row 1 y: nan -> 4.0",
+        "  max |delta|: x 0.5, y inf",
+    ]
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"m": {"cdf": [1.0, 2.0, 3.0], "rmse": 0.5}, "seed": 1}))
+    new.write_text(json.dumps({"m": {"cdf": [1.0, 2.5, 3.125], "rmse": 0.5}, "seed": 1}))
+    assert diff_file(old, new) == [
+        "  m.cdf[1]: 2.0 -> 2.5",
+        "  m.cdf[2]: 3.0 -> 3.125",
+        "  max |delta|: m.cdf[] 0.5",
+    ]
+
+
+def test_against_an_equal_tree_prints_nothing(capsys):
+    assert diff_against(Path(__file__).resolve().parent.parent) == 0
+    assert capsys.readouterr().out == ""
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the golden table, or diff the "
+                                     "case outputs against another checkout.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="DIR", type=Path,
+                      help="checkout whose src/ holds the program to compare with")
+    mode.add_argument("--write", metavar="WORK", type=Path,
+                      help="run every case into WORK/<case> and keep the outputs")
+    args = parser.parse_args()
+    if args.against is not None:
+        sys.exit(diff_against(args.against))
+    if args.write is not None:
+        for case in sorted(CASES):
+            (args.write / case).mkdir(parents=True)
+            run_case(case, args.write / case)
+        sys.exit(0)
     table = {}
     with contextlib.redirect_stdout(sys.stderr):
         for case in sorted(CASES):

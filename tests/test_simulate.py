@@ -528,30 +528,26 @@ def test_run_batch_matches_per_step_loop(scene, block):
     # every column of every seed, status included, bit for bit; a
     # divergence stops the batch at the same seed and step. A step block
     # of one or three steps (None keeps the default bound) splits the
-    # draws, which with no interferer are one per seed and block.
+    # draws, which with no interferer are one per block.
     s, seeds = scene
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(simulate, "STEP_BLOCK_READINGS",
-                       len(seeds) * block * len(s.beacons) * s.aggregation_window)
+                       block * len(s.beacons) * s.aggregation_window)
         got = batch_sweep(s, seeds)
     assert_same_runs(got, oracle_sweep(s, seeds))
 
 
 @settings(max_examples=30, deadline=None)
-@given(batch_scenes(), st.sampled_from(("one", "some")))
-def test_chunk_and_block_bounds_move_no_bits(scene, bounds):
-    # seed chunks and step blocks of one, or of a few with a ragged last
-    # one, give the columns the default bounds give
+@given(batch_scenes(), st.sampled_from((1, 3)))
+def test_step_blocks_move_no_bits(scene, block):
+    # step blocks of one step, or of three with a ragged last one, give
+    # the columns the default bound gives
     s, seeds = scene
     whole = batch_sweep(s, seeds)
-    n_steps, n_beacons, window = len(s.trajectory), len(s.beacons), s.aggregation_window
-    chunk, block = (1, 1) if bounds == "one" else (2, 3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "SEED_CHUNK_CELLS", chunk * n_steps * n_beacons)
-        mp.setattr(simulate, "STEP_BLOCK_READINGS", chunk * block * n_beacons * window)
-        plan = simulate.batch_plan(len(seeds), n_steps, n_beacons, window)
-        assert plan[0] == min(chunk, len(seeds)) and (bounds == "some" or plan == (1, 1))
+        mp.setattr(simulate, "STEP_BLOCK_READINGS",
+                   block * len(s.beacons) * s.aggregation_window)
         pieces = batch_sweep(s, seeds)
     assert pieces[1] == whole[1]
     assert len(pieces[0]) == len(whole[0])
@@ -622,33 +618,31 @@ def test_divergence_keeps_the_runs_before_it(monkeypatch):
         next(runs)
 
 
-def counted_chunks(monkeypatch):
-    """Count the calls to simulate._run_chunk in a list of seed lists."""
+def counted_seeds(monkeypatch):
+    """Record the seed of each call to simulate._run_seed."""
     calls = []
-    real = simulate._run_chunk
+    real = simulate._run_seed
 
-    def run_chunk(s, seeds, block):
-        calls.append(list(seeds))
-        return real(s, seeds, block)
+    def run_seed(s, seed, *shared):
+        calls.append(seed)
+        return real(s, seed, *shared)
 
-    monkeypatch.setattr(simulate, "_run_chunk", run_chunk)
+    monkeypatch.setattr(simulate, "_run_seed", run_seed)
     return calls
 
 
-def test_run_batch_runs_one_chunk_per_yield(monkeypatch):
-    # with one seed per chunk, the first run arrives after one chunk has
-    # run, and each later chunk runs only when its run is asked for
-    s = triangle_scenario(seed=0, steps=6, sigma=2.0)
-    monkeypatch.setattr(simulate, "SEED_CHUNK_CELLS", 6 * len(s.beacons))
-    calls = counted_chunks(monkeypatch)
-    runs = run_batch(s, [3, 4, 5])
+def test_run_batch_runs_one_seed_per_yield(monkeypatch):
+    # the first run arrives after one seed has run, and each later seed
+    # runs only when its run is asked for
+    calls = counted_seeds(monkeypatch)
+    runs = run_batch(triangle_scenario(seed=0, steps=6, sigma=2.0), [3, 4, 5])
     next(runs)
-    assert calls == [[3]]
-    assert len(list(runs)) == 2 and calls == [[3], [4], [5]]
+    assert calls == [3]
+    assert len(list(runs)) == 2 and calls == [3, 4, 5]
 
 
 def test_run_batch_rejects_a_negative_seed_before_running(monkeypatch):
-    calls = counted_chunks(monkeypatch)
+    calls = counted_seeds(monkeypatch)
     with pytest.raises(ValueError, match="seeds must be >= 0"):
         next(run_batch(triangle_scenario(seed=0, steps=4), [0, -1]))
     assert calls == []
@@ -675,27 +669,38 @@ def test_status_names_each_missing_estimate():
     assert on_anchor.status.dtype == np.int8
 
 
-def test_batch_buffers_stay_within_their_bounds():
-    # computed, not run: the largest buffers run_batch allocates for a
-    # sweep at the input caps (cli.py) stay within the stated bounds
-    from rssiloc.cli import MAX_BEACONS, MAX_RSSI_CELLS, MAX_SAMPLES, MAX_SEEDS, MAX_STEPS
+def test_batch_buffers_stay_within_their_bounds(monkeypatch):
+    # the reading windows of each step block hold at most
+    # STEP_BLOCK_READINGS readings, or one step, as a per-step loop does,
+    # and the blocks cover the steps in order; 16 beacons with a window at
+    # its cap (cli.py) hold more than the default bound in one step, and
+    # a bound of 20 splits most scenes into blocks of one or a few steps
+    from rssiloc.cli import MAX_SAMPLES
 
-    assert simulate.SEED_CHUNK_CELLS <= MAX_RSSI_CELLS
     assert simulate.STEP_BLOCK_READINGS <= 1 << 13
-    for n_beacons in (1, 3, 16, MAX_BEACONS):
-        for n_steps in (1, 200, min(MAX_STEPS, MAX_RSSI_CELLS // n_beacons)):
-            for window in (1, 10, MAX_SAMPLES):
-                for n_seeds in (1, 10, MAX_SEEDS):
-                    chunk, block = simulate.batch_plan(n_seeds, n_steps, n_beacons, window)
-                    assert 1 <= chunk <= n_seeds and 1 <= block <= n_steps
-                    # the (chunk, T, n_beacons) aggregated readings: no more
-                    # than one run at the cap
-                    assert chunk * n_steps * n_beacons <= MAX_RSSI_CELLS
-                    # the (chunk, block, n_beacons, window) reading windows:
-                    # the block bound, or one step of one seed as a lone run
-                    window_readings = chunk * block * n_beacons * window
-                    assert (window_readings <= simulate.STEP_BLOCK_READINGS
-                            or (chunk, block) == (1, 1))
+    shapes = []
+    real = kernels.censored
+
+    def censored(readings, sensitivity):
+        shapes.append(readings.shape)
+        return real(readings, sensitivity)
+
+    monkeypatch.setattr(kernels, "censored", censored)
+    for bound in (simulate.STEP_BLOCK_READINGS, 20):
+        monkeypatch.setattr(simulate, "STEP_BLOCK_READINGS", bound)
+        for n_beacons in (3, 16):
+            beacons = tuple(AnchorNode(i, Point2D(10.0 * (i % 4), 10.0 * (i // 4)))
+                            for i in range(n_beacons))
+            for n_steps in (1, 7, 40):
+                for window in (1, 10, MAX_SAMPLES):
+                    shapes.clear()
+                    run_scenario(Scenario(roi=Rect(0, 0, 30, 30), beacons=beacons,
+                                          trajectory=(Point2D(12.0, 9.0),) * n_steps,
+                                          seed=1, aggregation_window=window))
+                    assert sum(steps for steps, _, _ in shapes) == n_steps
+                    for steps, beacon_rows, samples in shapes:
+                        assert (beacon_rows, samples) == (n_beacons, window) and steps >= 1
+                        assert steps * n_beacons * window <= bound or steps == 1
 
 
 # ---------------------------------------------------------------------------
