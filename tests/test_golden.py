@@ -252,11 +252,9 @@ def _delta(a, b) -> float:
 
 
 def _csv_cells(path: Path) -> dict:
-    """(row, column name) -> cell text of a CSV with a header line; a row
-    wider or narrower than the header keys its cells by column number."""
+    """(row, column name) -> cell text of a CSV with a header line."""
     header, *rows = csv.reader(path.read_text().splitlines())
-    return {(i, header[j] if j < len(header) else str(j)): cell
-            for i, row in enumerate(rows) for j, cell in enumerate(row)}
+    return {(i, name): cell for i, row in enumerate(rows) for name, cell in zip(header, row)}
 
 
 def _json_leaves(obj, path="") -> dict:
