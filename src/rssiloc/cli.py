@@ -368,21 +368,11 @@ _STEP_HEADER = ["step", "true_x", "true_y", "raw_x", "raw_y", "avg_x", "avg_y",
                 "kf_x", "kf_y", "channel", "resolved"]
 
 
-def _values(column: np.ndarray) -> list:
-    """Python values of one output column, NaN (an absent estimate) as
-    None, which JSON writes as null."""
-    if column.dtype.kind != "f":
-        return column.tolist()
-    values = column.astype(object)
-    values[np.isnan(column)] = None
-    return values.tolist()
-
-
 class ScenarioText:
     """Output text that every run of one scenario shares, so a sweep
     encodes it once: `config`, the config echo's fields as summary.json
     text (each run sets its own seed), and `step_cells`, the step, true_x
-    and true_y cells of steps.csv."""
+    and true_y cells of steps.csv and steps.json."""
 
     def __init__(self, s: Scenario):
         self.config = {key: _Json(_encode(value, "    "))
@@ -399,14 +389,17 @@ def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt:
     is written."""
     metrics = _metrics_block(result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = [*result.raw.T, *result.averaged.T, *result.kalman.T, result.channel,
-               result.resolved.astype(np.int64)]
+    cells = [*text.step_cells, *map(_cells, (*result.raw.T, *result.averaged.T,
+                                             *result.kalman.T, result.channel,
+                                             result.resolved.astype(np.int64)))]
     if fmt == "json":
-        columns = [np.arange(len(result.true)), *result.true.T, *columns]
-        rows = zip(*map(_values, columns))
-        _write_json(out_dir / "steps.json", [dict(zip(_STEP_HEADER, row)) for row in rows])
+        # a cell's text is its JSON text: ints and finite floats (an
+        # estimate is finite or absent) as written, an empty cell as null
+        _write_json(out_dir / "steps.json", [
+            {key: _Json(cell or "null") for key, cell in zip(_STEP_HEADER, row)}
+            for row in zip(*cells)])
     else:
-        _write_csv(out_dir / "steps.csv", _STEP_HEADER, [*text.step_cells, *columns])
+        _write_csv(out_dir / "steps.csv", _STEP_HEADER, cells)
     _write_json(out_dir / "summary.json",
                 {"seed": seed, "config": dict(text.config, seed=seed), "metrics": metrics})
     return metrics

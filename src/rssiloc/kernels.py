@@ -5,10 +5,12 @@ channel energy readings under interference, log-distance path loss and
 its inverse, censoring below sensitivity, NaN-aware dB aggregation,
 strongest-k ordering, the linearized lateration solve, and the range-EKF
 predict/correct step (Jacobian and gain included). Beacon-coverage
-counting lives here too, in two shapes: over a list of sample points
-(coverage_counts) and over a rectangular lattice, where each beacon is
-stamped only over the lattice points in the bounding box of its disc and
-a beacon whose box holds none is skipped (lattice_coverage_counts).
+counting lives here too, in two shapes, each looping over beacons so
+its memory is O(points): over a list of sample points, one pass per
+beacon (coverage_counts), and over a rectangular lattice, where each
+beacon is stamped only over the lattice points in the bounding box of
+its disc and a beacon whose box holds none is skipped
+(lattice_coverage_counts).
 
 The stateless kernels are numpy and batch-shaped: aggregation and
 ordering work along the last axis of any array, and lateration_batch
@@ -45,8 +47,6 @@ __all__ = [
     "coverage_counts", "lattice_coverage_counts",
 ]
 
-_COVERAGE_CHUNK = 1 << 16
-_COVERAGE_ELEMENTS = 1 << 24
 _ANCHOR_EPS = 1e-9
 
 
@@ -323,17 +323,13 @@ def ekf_step(px, py, cov, ax, ay, z, st, ctrl, q, r):
 
 def coverage_counts(px, py, bx, by, radius, cap):
     """Per sample point, the number of beacons within `radius` (closed
-    ball), saturated at `cap`. Vectorized in chunks to bound memory."""
-    n = px.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
+    ball), saturated at `cap`. One pass over the points per beacon."""
+    counts = np.zeros(px.shape[0], dtype=np.int64)
     r2 = radius * radius
-    # each chunk holds at most _COVERAGE_ELEMENTS point-beacon pairs
-    rows = max(1, min(_COVERAGE_CHUNK, _COVERAGE_ELEMENTS // max(1, bx.shape[0])))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        dx = px[start:stop, None] - bx[None, :]
-        dy = py[start:stop, None] - by[None, :]
-        counts[start:stop] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)
+    for x, y in zip(bx.tolist(), by.tolist()):
+        dx = px - x
+        dy = py - y
+        counts += dx * dx + dy * dy <= r2
     return np.minimum(counts, cap)
 
 

@@ -86,11 +86,15 @@ def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:
     """Invert the path-loss model: distance that produces the given RSSI.
 
     Readings above the reference power legitimately map to distances
-    below the reference distance.
+    below the reference distance. A reading so far below it that the
+    distance exceeds the float range gives math.inf, as the simulator's
+    array path does; lateration reports such a range as degenerate.
     """
     if not math.isfinite(rssi):
         raise ValueError(f"rssi must be finite, got {rssi}")
-    return float(
-        kernels.path_loss_range(rssi, params.rssi_at_ref, params.ref_distance, params.exponent)
-    )
+    try:
+        return float(kernels.path_loss_range(rssi, params.rssi_at_ref, params.ref_distance,
+                                             params.exponent))
+    except OverflowError:  # Python float power raises where numpy's gives inf
+        return math.inf
 

@@ -20,8 +20,9 @@ holding at most STEP_BLOCK_READINGS window readings:
     draw       in a lone run's order, per step: the packet uniforms, the
                monitor and any rescan, then one window of shadowing
                normals per beacon; with no interferer, one draw per block
-    stateless  readings, aggregation, top-3, ranging and lateration of
-               both flavors as array expressions over the block's steps
+    stateless  readings and aggregation, then one pass of top-3, ranging
+               and lateration over both flavors' readings stacked, as
+               array expressions over the block's steps
     filter     after the last block, the fix steps in order, each one
                scalar kernels.ekf_step on Python floats
 
@@ -318,8 +319,7 @@ def _run_seed(s: Scenario, seed: int, true, beacon_ids, beacon_x, beacon_y, true
     rssi = np.empty((n_steps, n_beacons))
     status = np.empty(n_steps, dtype=np.int8)
     k = min(3, n_beacons)
-    anchor_x = np.empty((n_steps, k))
-    anchor_y = np.empty((n_steps, k))
+    sel = np.empty((n_steps, k), dtype=np.intp)
     ranges = np.empty((n_steps, k))
 
     rng = np.random.default_rng(seed)
@@ -355,26 +355,24 @@ def _run_seed(s: Scenario, seed: int, true, beacon_ids, beacon_x, beacon_y, true
             readings = kernels.censored(true_rssi[t0:t1, :, None] + noise[:t1 - t0],
                                         s.radio.sensitivity)
             agg = rssi[t0:t1] = kernels.db_mean(readings)
-            fix_status, xy, _, _ = _fixes(readings[..., 0], beacon_ids, beacon_x, beacon_y, pl)
-            raw[t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
-            fix_status, xy, sel, fix_ranges = _fixes(agg, beacon_ids, beacon_x, beacon_y, pl)
-            averaged[t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
-            status[t0:t1] = fix_status
-            anchor_x[t0:t1] = beacon_x[sel]
-            anchor_y[t0:t1] = beacon_y[sel]
-            ranges[t0:t1] = fix_ranges
+            fix_status, xy, fix_sel, fix_ranges = _fixes(
+                np.stack((readings[..., 0], agg)), beacon_ids, beacon_x, beacon_y, pl)
+            raw[t0:t1], averaged[t0:t1] = np.where(fix_status[..., None] == 0, xy, np.nan)
+            status[t0:t1], sel[t0:t1], ranges[t0:t1] = fix_status[1], fix_sel[1], fix_ranges[1]
 
     # Filter stage: the fix steps in order.
-    kalman = _filter(matrices, averaged, status, anchor_x, anchor_y, ranges)
+    kalman = _filter(matrices, averaged, status, beacon_x[sel], beacon_y[sel], ranges)
     return RunResult(true.copy(), raw, averaged, kalman, channel, rssi, status)
 
 
 def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):
     """Top-3 selection over the heard (non-NaN) readings, path-loss
-    inversion and lateration for each (..., n_beacons) row. Returns the
-    row status (0 a fix, 1 fewer than three heard, 2 lateration failed),
-    the (..., 2) fix, and the selected indices and their ranges,
-    (..., 3) each."""
+    inversion and lateration for each (..., n_beacons) row; each row
+    keeps the bits of its pass alone, so one stateless pass over the
+    (2, steps, n_beacons) stack of raw and averaged readings serves both
+    flavors. Returns the row status (0 a fix, 1 fewer than three heard,
+    2 lateration failed), the (..., 2) fix, and the selected indices and
+    their ranges, (..., 3) each."""
     heard = np.count_nonzero(~np.isnan(rssi), axis=-1) >= 3
     sel = kernels.top_k(beacon_ids, rssi, 3)
     ranges = kernels.path_loss_range(np.take_along_axis(rssi, sel, axis=-1),

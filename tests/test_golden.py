@@ -16,7 +16,13 @@ case with this tree's program and with the one in another checkout:
 
 For each output file that differs it prints the changed cells (DIR's
 text, then this tree's) and the largest |delta| per CSV column or JSON
-path, and exits 1; it prints nothing when every file is equal.
+path, and exits 1; it prints nothing when every file is equal. Both
+child runs inherit the environment, so setting NPY_DISABLE_CPU_FEATURES
+for the whole command compares the two trees under another numpy SIMD
+dispatch, e.g.
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        PYTHONPATH=src python tests/test_golden.py --against DIR
 """
 
 import argparse

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +32,19 @@ def test_coverage_counts_paths_agree_with_oracle():
     assert np.array_equal(kernels.coverage_counts(px, py, bx, by, 20.0, 3), expected)
 
 
-def test_coverage_counts_chunks_bound_pairs(monkeypatch):
-    # a pair budget below one row of beacons still makes progress, one row
-    # per chunk, and the counts match the unchunked oracle
+def test_coverage_counts_memory_is_per_point():
+    # one pass per beacon holds a few point-sized arrays, not a points x
+    # beacons matrix (80 MB of float64 per operand here)
     rng = np.random.default_rng(1)
-    px, py, bx, by = (rng.uniform(0, 50, n) for n in (300, 300, 30, 30))
-    expected = python_coverage_oracle(px, py, bx, by, 12.0, 3)
-    for budget in (7, 64, 1000):
-        monkeypatch.setattr(kernels, "_COVERAGE_ELEMENTS", budget)
-        assert np.array_equal(kernels.coverage_counts(px, py, bx, by, 12.0, 3), expected)
+    px, py = rng.uniform(0, 500, (2, 10_000))
+    bx, by = rng.uniform(0, 500, (2, 1_000))
+    tracemalloc.start()
+    try:
+        kernels.coverage_counts(px, py, bx, by, 30.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_coverage_counts_closed_ball():

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rssiloc import kernels
+from rssiloc.errors import DegenerateGeometryError
+from rssiloc.geometry import AnchorNode, Point2D
+from rssiloc.localization import TrilaterationProblem, trilaterate
 from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel, distance_from_rssi
 
 DEFAULTS = PathLossParams()
@@ -48,6 +51,17 @@ def test_ranging_hand_value():
 
 def test_ranging_reference_point():
     assert distance_from_rssi(DEFAULTS, -45.0) == 1.0
+
+
+def test_ranging_beyond_the_float_range_is_inf():
+    # 10 ** ((-45 + 1e5) / 20) overflows a float: the range is inf, as the
+    # simulator's array path gives, and lateration reports it as degenerate
+    d = distance_from_rssi(DEFAULTS, -1e5)
+    assert d == math.inf
+    anchors = (AnchorNode(0, Point2D(0.0, 0.0)), AnchorNode(1, Point2D(10.0, 0.0)),
+               AnchorNode(2, Point2D(0.0, 10.0)))
+    with pytest.raises(DegenerateGeometryError):
+        trilaterate(TrilaterationProblem(anchors, (d, 5.0, 5.0)))
 
 
 @given(st.floats(min_value=0.1, max_value=100))

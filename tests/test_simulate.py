@@ -674,18 +674,25 @@ def test_batch_buffers_stay_within_their_bounds(monkeypatch):
     # STEP_BLOCK_READINGS readings, or one step, as a per-step loop does,
     # and the blocks cover the steps in order; 16 beacons with a window at
     # its cap (cli.py) hold more than the default bound in one step, and
-    # a bound of 20 splits most scenes into blocks of one or a few steps
+    # a bound of 20 splits most scenes into blocks of one or a few steps;
+    # each block solves both flavors in one lateration pass
     from rssiloc.cli import MAX_SAMPLES
 
     assert simulate.STEP_BLOCK_READINGS <= 1 << 13
     shapes = []
-    real = kernels.censored
+    solves = []
+    real_censored, real_lateration = kernels.censored, kernels.lateration_batch
 
     def censored(readings, sensitivity):
         shapes.append(readings.shape)
-        return real(readings, sensitivity)
+        return real_censored(readings, sensitivity)
+
+    def lateration_batch(ax, ay, d):
+        solves.append(d.shape)
+        return real_lateration(ax, ay, d)
 
     monkeypatch.setattr(kernels, "censored", censored)
+    monkeypatch.setattr(kernels, "lateration_batch", lateration_batch)
     for bound in (simulate.STEP_BLOCK_READINGS, 20):
         monkeypatch.setattr(simulate, "STEP_BLOCK_READINGS", bound)
         for n_beacons in (3, 16):
@@ -694,10 +701,12 @@ def test_batch_buffers_stay_within_their_bounds(monkeypatch):
             for n_steps in (1, 7, 40):
                 for window in (1, 10, MAX_SAMPLES):
                     shapes.clear()
+                    solves.clear()
                     run_scenario(Scenario(roi=Rect(0, 0, 30, 30), beacons=beacons,
                                           trajectory=(Point2D(12.0, 9.0),) * n_steps,
                                           seed=1, aggregation_window=window))
                     assert sum(steps for steps, _, _ in shapes) == n_steps
+                    assert len(solves) == len(shapes)
                     for steps, beacon_rows, samples in shapes:
                         assert (beacon_rows, samples) == (n_beacons, window) and steps >= 1
                         assert steps * n_beacons * window <= bound or steps == 1

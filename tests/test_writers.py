@@ -137,3 +137,30 @@ def test_sweep_files_read_as_each_seed_written_whole(tmp_path):
             lines = steps.read_text().splitlines()
             assert [line.split(",")[:3] for line in lines[1:]] == [
                 ["0", "12.0", "9.0"], ["1", "12.5", "9.25"], ["2", "13.0", "9.5"]]
+
+
+def test_steps_json_holds_the_steps_csv_cells(tmp_path):
+    # both formats write one set of step cells: each JSON value's text is
+    # its CSV cell, and null is exactly the empty cell of a step without
+    # that estimate
+    from test_golden import LATTICE_SPARSE
+
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps(LATTICE_SPARSE))
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / fmt),
+                     "--format", fmt]) == EXIT_OK
+    header, *lines = (tmp_path / "csv" / "steps.csv").read_text().splitlines()
+    text = (tmp_path / "json" / "steps.json").read_text()
+    rows = json.loads(text)
+    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert len(rows) == len(lines)
+    empty = 0
+    for row, line in zip(rows, lines):
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert row.keys() == cells.keys()
+        for key, cell in cells.items():
+            assert (row[key] is None) == (cell == "")
+            assert row[key] is None or json.dumps(row[key]) == cell
+        empty += "" in cells.values()
+    assert 0 < empty < len(rows)
