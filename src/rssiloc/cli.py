@@ -7,7 +7,8 @@ beacons.csv), `compare` (per-step pipeline errors to compare.csv).
 Scenario files are JSON mirroring the Scenario type field-for-field,
 physical quantities carrying their unit in the field name; one table,
 _FIELDS, lays the schema out. Unknown fields are rejected, missing
-optional fields take library defaults, and `seed` is required.
+optional fields take library defaults, and `seed` is required. A
+trajectory parses straight to the (T, 2) array a Scenario holds.
 
 Exit codes: 0 success; 2 malformed input, including any value a library
 type rejects (the message names its field path) or an unwritable --out;
@@ -122,10 +123,10 @@ def _count(cap):
     return parse
 
 
-def _point(obj, path) -> Point2D:
+def _point(obj, path) -> tuple[float, float]:
     if not (isinstance(obj, list) and len(obj) == 2):
         raise ScenarioFileError(f"{path}: expected [x, y]")
-    return Point2D(_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]"))
+    return _number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]")
 
 
 def _matrix(*shape):
@@ -172,13 +173,13 @@ def _beacon(obj, path) -> AnchorNode:
     return _build(AnchorNode, path, id=_integer(obj["id"], f"{path}.id"), position=position)
 
 
-def _trajectory(obj, path) -> tuple[Point2D, ...]:
+def _trajectory(obj, path) -> np.ndarray:
     if isinstance(obj, dict):
         _check_fields(obj, path, {"static", "steps"}, set())
         point = _point(obj["static"], f"{path}.static")
-        return (point,) * _count(MAX_STEPS)(obj["steps"], f"{path}.steps")
+        return np.tile(point, (_count(MAX_STEPS)(obj["steps"], f"{path}.steps"), 1))
     if isinstance(obj, list):
-        return _list_of(_point, MAX_STEPS)(obj, path)
+        return np.array(_list_of(_point, MAX_STEPS)(obj, path))
     raise ScenarioFileError(f"{path}: expected a waypoint list or a static shorthand")
 
 
@@ -278,8 +279,6 @@ def _echo(value):
         return [_echo(item) for item in value]
     if isinstance(value, AnchorNode):
         return {"id": value.id, "x_m": value.position.x, "y_m": value.position.y}
-    if isinstance(value, Point2D):
-        return [value.x, value.y]
     if isinstance(value, WifiChannel):
         return value.index
     if isinstance(value, np.ndarray):
@@ -377,9 +376,8 @@ class ScenarioText:
     def __init__(self, s: Scenario):
         self.config = {key: _Json(_encode(value, "    "))
                        for key, value in scenario_to_dict(s).items()}
-        true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
-        self.step_cells = [list(map(str, range(len(true)))), _cells(true[:, 0]),
-                           _cells(true[:, 1])]
+        self.step_cells = [list(map(str, range(len(s.trajectory)))),
+                           *map(_cells, s.trajectory.T)]
 
 
 def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt: str,
@@ -410,10 +408,8 @@ def _coverage_precheck(s: Scenario) -> None:
     beacon's reach is the lower of the radio's planning range and the
     distance at which the path-loss mean falls to the receiver sensitivity."""
     pl = s.path_loss
-    px = np.array([p.x for p in s.trajectory])
-    py = np.array([p.y for p in s.trajectory])
-    bx = np.array([b.position.x for b in s.beacons])
-    by = np.array([b.position.y for b in s.beacons])
+    px, py = s.trajectory.T
+    bx, by = np.array([(b.position.x, b.position.y) for b in s.beacons]).T
     # a reach or a squared distance beyond the float range is inf, and
     # compares as such
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -423,14 +419,14 @@ def _coverage_precheck(s: Scenario) -> None:
         counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
     bad = counts < 3
     if bad.any():
-        raise _coverage_failure("trajectory coverage precheck failed", [
-            Point2D(*p) for p in dict.fromkeys(zip(px[bad].tolist(), py[bad].tolist()))])
+        raise _coverage_failure("trajectory coverage precheck failed", np.array(
+            list(dict.fromkeys(zip(px[bad].tolist(), py[bad].tolist())))))
 
 
-def _coverage_failure(what: str, uncovered: list[Point2D]) -> LocalizationError:
-    """The error naming the points that lack three-beacon coverage."""
+def _coverage_failure(what: str, uncovered: np.ndarray) -> LocalizationError:
+    """The error naming the (m, 2) points that lack three-beacon coverage."""
     lines = [f"{what}: {len(uncovered)} point(s) lack three-beacon coverage"]
-    lines += [f"  uncovered: ({p.x}, {p.y})" for p in uncovered[:20]]
+    lines += [f"  uncovered: ({x}, {y})" for x, y in uncovered[:20].tolist()]
     if len(uncovered) > 20:
         lines.append(f"  ... and {len(uncovered) - 20} more")
     return LocalizationError("\n".join(lines))
@@ -494,14 +490,13 @@ def cmd_deploy(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "beacons.csv", ["id", "x", "y"],
-               [np.arange(len(plan.positions)), np.array([p.x for p in plan.positions]),
-                np.array([p.y for p in plan.positions])])
+               [np.arange(len(plan.positions)), *plan.positions.T])
     _write_json(out_dir / "coverage.json", {
         "covered": ok,
         "beacons": len(plan.positions),
         "spacing_x_m": plan.spacing_x,
         "spacing_y_m": plan.spacing_y,
-        "uncovered_points": [[p.x, p.y] for p in uncovered[:100]],
+        "uncovered_points": uncovered[:100].tolist(),
     })
     print(f"{len(plan.positions)} beacons at spacing "
           f"({plan.spacing_x:.4g}, {plan.spacing_y:.4g}) m; "

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Dbm",
     "NodeId",
@@ -80,6 +82,15 @@ class AnchorNode:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"node id must be non-negative, got {self.id}")
+
+
+def frozen_array(values, shape=None, dtype=float) -> np.ndarray:
+    """A read-only `dtype` copy of `values`, reshaped to `shape` if given."""
+    arr = np.array(values, dtype=dtype)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    arr.flags.writeable = False
+    return arr
 
 
 def dbm_to_milliwatts(p: Dbm) -> float:

@@ -80,6 +80,8 @@ class ShadowingModel:
     def __post_init__(self):
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        # -0.0 passes the check, but a generator rejects a scale signed negative
+        object.__setattr__(self, "sigma", abs(self.sigma))
 
 
 def distance_from_rssi(params: PathLossParams, rssi: Dbm) -> float:

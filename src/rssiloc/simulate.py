@@ -1,5 +1,7 @@
 """Scenario orchestration: deployment planning, coverage verification,
-and the end-to-end localization pipeline.
+and the end-to-end localization pipeline. A point set (a trajectory, the
+planned beacons, the uncovered points) is a float64 (n, 2) array of (x, y)
+rows in meters, from parsing to output, and read-only where a type holds it.
 
 A run executes, per trajectory step: one packet exchange on the active
 channel (feeding the rescan state machine), an RSSI sampling window per
@@ -50,7 +52,7 @@ import numpy as np
 from . import kernels
 from .channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
 from .errors import CapacityError, FilterDivergenceError, NoResolvedStepsError
-from .geometry import AnchorNode, Point2D, Rect
+from .geometry import AnchorNode, Rect, frozen_array
 from .radio import PathLossParams, RadioSpec, ShadowingModel
 from .spectrum import ChannelEnvironment, packet_success
 from .tracking import KalmanConfig
@@ -84,11 +86,13 @@ STEP_BLOCK_READINGS = 1 << 13
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete simulation input; `seed` fixes every random draw."""
+    """Complete simulation input; `seed` fixes every random draw.
+    `trajectory`, the node's position per step, takes any finite (T, 2)
+    array-like and is held as a read-only float64 array."""
 
     roi: Rect
     beacons: tuple[AnchorNode, ...]
-    trajectory: tuple[Point2D, ...]
+    trajectory: np.ndarray
     seed: int
     path_loss: PathLossParams = field(default_factory=PathLossParams)
     radio: RadioSpec = field(default_factory=RadioSpec)
@@ -100,11 +104,14 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "beacons", tuple(self.beacons))
-        object.__setattr__(self, "trajectory", tuple(self.trajectory))
+        trajectory = frozen_array(self.trajectory)
+        object.__setattr__(self, "trajectory", trajectory)
         if not self.beacons:
             raise ValueError("scenario needs at least one beacon")
-        if not self.trajectory:
+        if not trajectory.size:
             raise ValueError("scenario needs at least one trajectory point")
+        if trajectory.shape[1:] != (2,) or not np.isfinite(trajectory).all():
+            raise ValueError(f"trajectory must be finite (T, 2) points, got {trajectory.shape}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.aggregation_window < 1:
@@ -112,22 +119,26 @@ class Scenario:
         ids = [b.id for b in self.beacons]
         if len(set(ids)) != len(ids):
             raise ValueError("beacon ids must be unique within a scenario")
-        beacon_points = {b.position for b in self.beacons}
-        for p in self.trajectory:
-            if not self.roi.contains(p):
-                raise ValueError(f"trajectory point ({p.x}, {p.y}) outside roi")
-            if p in beacon_points:
-                raise ValueError(f"trajectory point ({p.x}, {p.y}) coincides with a beacon")
+        r, beacon_points = self.roi, {(b.position.x, b.position.y) for b in self.beacons}
+        for x, y in trajectory.tolist():
+            if not (r.x_min <= x <= r.x_max and r.y_min <= y <= r.y_max):
+                raise ValueError(f"trajectory point ({x}, {y}) outside roi")
+            if (x, y) in beacon_points:
+                raise ValueError(f"trajectory point ({x}, {y}) coincides with a beacon")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeploymentPlan:
-    """Planned beacon lattice. Spacing is recorded per axis because the
+    """Planned beacon lattice: `positions` is a read-only float64 (n, 2) array
+    of beacon (x, y), row by row. Spacing is recorded per axis because the
     snap-to-fit step quantizes each axis independently."""
 
-    positions: tuple[Point2D, ...]
+    positions: np.ndarray
     spacing_x: float
     spacing_y: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", frozen_array(self.positions, (-1, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +220,10 @@ def plan_square_grid_deployment(
         )
     spacing_x = roi.width / cells_x
     spacing_y = roi.height / cells_y
-    positions = tuple(
-        Point2D(roi.x_min + ix * spacing_x, roi.y_min + iy * spacing_y)
-        for iy in range(cells_y + 1)
-        for ix in range(cells_x + 1)
-    )
+    # one rounded multiply and add per element, as the scalar formula does
+    ix, iy = np.meshgrid(np.arange(cells_x + 1), np.arange(cells_y + 1))
+    positions = np.stack((roi.x_min + ix.ravel() * spacing_x,
+                          roi.y_min + iy.ravel() * spacing_y), axis=1)
     return DeploymentPlan(positions, spacing_x, spacing_y)
 
 
@@ -227,13 +237,13 @@ def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
 
 def verify_three_coverage(
     plan: DeploymentPlan, roi: Rect, radio_range: float, grid_step: float = 0.25
-) -> tuple[bool, list[Point2D]]:
+) -> tuple[bool, np.ndarray]:
     """Check that every roi lattice point (grid_step pitch, boundaries
     included) lies within radio_range of at least three beacons. Each
     beacon is tested over the lattice points in the bounding box of its
     disc, with the same closed-ball predicate as a test of every point.
-    Returns the verdict and the uncovered sample points, row by row
-    (y, then x, ascending)."""
+    Returns the verdict and the uncovered sample points as an (m, 2)
+    float64 array, row by row (y, then x, ascending)."""
     if grid_step <= 0.0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     # bound the lattice in floats before any count becomes an int or array;
@@ -254,14 +264,12 @@ def verify_three_coverage(
         )
     xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
-    bx = np.array([p.x for p in plan.positions])
-    by = np.array([p.y for p in plan.positions])
     # a squared offset beyond the float range is inf, and compares as such
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        counts = kernels.lattice_coverage_counts(xs, ys, bx, by, float(radio_range), 3)
+        counts = kernels.lattice_coverage_counts(xs, ys, *plan.positions.T,
+                                                 float(radio_range), 3)
     rows, cols = np.nonzero(counts < 3)
-    uncovered = [Point2D(x, y) for x, y in zip(xs[cols].tolist(), ys[rows].tolist())]
-    return len(uncovered) == 0, uncovered
+    return not len(rows), np.stack((xs[cols], ys[rows]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +294,9 @@ def run_batch(s: Scenario, seeds) -> Iterator[RunResult]:
     if any(seed < 0 for seed in seeds):
         raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     pl, cfg = s.path_loss, s.kalman
-    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+    true = s.trajectory
     beacon_ids = np.array([b.id for b in s.beacons])
-    beacon_x = np.array([b.position.x for b in s.beacons])
-    beacon_y = np.array([b.position.y for b in s.beacons])
+    beacon_x, beacon_y = np.array([(b.position.x, b.position.y) for b in s.beacons]).T
     # the (T, n_beacons) distances are a temporary of this call: a
     # generator's frame would hold them for the whole sweep
     true_rssi = kernels.path_loss_rssi(
@@ -362,7 +369,7 @@ def _run_seed(s: Scenario, seed: int, true, beacon_ids, beacon_x, beacon_y, true
 
     # Filter stage: the fix steps in order.
     kalman = _filter(matrices, averaged, status, beacon_x[sel], beacon_y[sel], ranges)
-    return RunResult(true.copy(), raw, averaged, kalman, channel, rssi, status)
+    return RunResult(true, raw, averaged, kalman, channel, rssi, status)
 
 
 def _fixes(rssi, beacon_ids, beacon_x, beacon_y, pl: PathLossParams):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Dbm, dbm_to_milliwatts
+from .geometry import Dbm, dbm_to_milliwatts, frozen_array
 
 __all__ = [
     "ZIGBEE_BANDWIDTH_MHZ",
@@ -102,12 +102,6 @@ class InterfererProfile:
         _check_power(self.rx_power, "rx_power")
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ChannelEnvironment:
     """Interference landscape: WiFi interferers over a thermal noise floor.
@@ -135,12 +129,11 @@ class ChannelEnvironment:
         _check_power(self.noise_floor, "noise_floor")
         overlap = [[channels_overlap(ZigbeeChannel(z), i.wifi_channel) for i in interferers]
                    for z in ZIGBEE_CHANNELS]
-        object.__setattr__(self, "overlap", _frozen(overlap, bool).reshape(
-            len(ZIGBEE_CHANNELS), len(interferers)))
+        object.__setattr__(self, "overlap", frozen_array(overlap, dtype=bool))
         # scalar conversions: np.power need not match them bit for bit
-        object.__setattr__(self, "powers_mw", _frozen(
-            [dbm_to_milliwatts(i.rx_power) for i in interferers], float))
-        object.__setattr__(self, "duty_cycles", _frozen([i.duty_cycle for i in interferers], float))
+        object.__setattr__(self, "powers_mw", frozen_array(
+            [dbm_to_milliwatts(i.rx_power) for i in interferers]))
+        object.__setattr__(self, "duty_cycles", frozen_array([i.duty_cycle for i in interferers]))
         object.__setattr__(self, "floor_mw", dbm_to_milliwatts(self.noise_floor))
 
     def draw_active(self, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import FilterDivergenceError, SingularGeometryError
-from .geometry import AnchorNode
+from .geometry import AnchorNode, frozen_array
 
 __all__ = [
     "KalmanConfig",
@@ -39,12 +39,6 @@ __all__ = [
     "update",
     "filter_step",
 ]
-
-
-def _frozen_array(value, shape) -> np.ndarray:
-    arr = np.array(value, dtype=float).reshape(shape)
-    arr.flags.writeable = False
-    return arr
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
@@ -64,15 +58,13 @@ class KalmanConfig:
     measurement_noise: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "state_transition", _frozen_array(self.state_transition, (2, 2)))
-        object.__setattr__(self, "control", _frozen_array(self.control, (2,)))
-        object.__setattr__(self, "process_noise", _frozen_array(self.process_noise, (2, 2)))
-        r = np.array(self.measurement_noise, dtype=float)
-        if r.shape != (3, 3):
+        object.__setattr__(self, "state_transition", frozen_array(self.state_transition, (2, 2)))
+        object.__setattr__(self, "control", frozen_array(self.control, (2,)))
+        object.__setattr__(self, "process_noise", frozen_array(self.process_noise, (2, 2)))
+        object.__setattr__(self, "measurement_noise", frozen_array(self.measurement_noise))
+        if self.measurement_noise.shape != (3, 3):
             raise ValueError("measurement_noise must be 3 x 3, as the filter takes three "
-                             f"ranges, got shape {r.shape}")
-        r.flags.writeable = False
-        object.__setattr__(self, "measurement_noise", r)
+                             f"ranges, got shape {self.measurement_noise.shape}")
         for name in ("state_transition", "control", "process_noise", "measurement_noise"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -92,8 +84,8 @@ class KalmanState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _frozen_array(self.position, (2,)))
-        object.__setattr__(self, "covariance", _frozen_array(self.covariance, (2, 2)))
+        object.__setattr__(self, "position", frozen_array(self.position, (2,)))
+        object.__setattr__(self, "covariance", frozen_array(self.covariance, (2, 2)))
         for name in ("position", "covariance"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite, not NaN or infinite")
@@ -111,7 +103,7 @@ class RangeMeasurement:
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", tuple(self.anchors))
-        object.__setattr__(self, "ranges", _frozen_array(self.ranges, (len(self.anchors),)))
+        object.__setattr__(self, "ranges", frozen_array(self.ranges, (len(self.anchors),)))
         if len(self.anchors) != 3:
             raise ValueError(f"measurement takes exactly 3 anchors, got {len(self.anchors)}")
         # NaN fails the comparison; an infinite range passes, and the update

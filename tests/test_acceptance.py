@@ -113,7 +113,7 @@ def surrogate_sweep():
     scenario = Scenario(
         roi=Rect(0, 0, 30, 30),
         beacons=TRIANGLE,
-        trajectory=(Point2D(12.0, 9.0),) * 200,
+        trajectory=((12.0, 9.0),) * 200,
         seed=0,
         shadowing=ShadowingModel(2.0),
     )

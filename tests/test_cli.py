@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rssiloc import cli
 from rssiloc.cli import (
@@ -59,6 +59,18 @@ def test_simulate_zero_noise(tmp_path):
     header = (out / "steps.csv").read_text().splitlines()[0]
     assert header == "step,true_x,true_y,raw_x,raw_y,avg_x,avg_y,kf_x,kf_y,channel,resolved"
     assert len((out / "steps.csv").read_text().splitlines()) == 26
+
+
+def test_negative_zero_shadowing_runs_as_zero(tmp_path, capsys):
+    # -0.0 passes the sigma >= 0 check; the scene runs as the 0.0 one does,
+    # down to the sigma echo in summary.json
+    trees = []
+    for name, sigma in (("plus", 0.0), ("minus", -0.0)):
+        scn = write_scenario(tmp_path / f"{name}.json", shadowing={"sigma_db": sigma})
+        out = tmp_path / name
+        assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "2"]) == EXIT_OK
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 4 and trees[0] == trees[1]
 
 
 def test_simulate_missing_seed(tmp_path):
@@ -463,7 +475,7 @@ def test_deploy_verification_failure_output(tmp_path, capsys, monkeypatch):
     # reports 21 uncovered points; the plan and verdict are still written
     points = [(0.25 * i, 1.5) for i in range(21)]
     monkeypatch.setattr(cli, "verify_three_coverage",
-                        lambda *args: (False, [Point2D(x, y) for x, y in points]))
+                        lambda *args: (False, np.array(points)))
     out = tmp_path / "o"
     assert main(["deploy", "--roi", "30x30", "--range-m", "25", "--out", str(out)]) == EXIT_DOMAIN
     captured = capsys.readouterr()
@@ -612,16 +624,16 @@ def scenarios(draw):
     ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=5, unique=True))
     beacons = tuple(AnchorNode(i, Point2D(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))))
                     for i in ids)
-    on_beacon = {b.position for b in beacons}
-    walk = st.builds(lambda u, v: Point2D(roi.x_min + u * roi.width, roi.y_min + v * roi.height),
-                     unit, unit).filter(lambda p: roi.contains(p) and p not in on_beacon)
+    on_beacon = {(b.position.x, b.position.y) for b in beacons}
+    walk = st.builds(lambda u, v: (roi.x_min + u * roi.width, roi.y_min + v * roi.height),
+                     unit, unit).filter(lambda p: roi.contains(Point2D(*p)) and p not in on_beacon)
     tx = draw(dbm)
     a, b = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 10.0))
     r_off = [draw(st.floats(-0.4, 0.4)) for _ in range(3)]
     return Scenario(
         roi=roi,
         beacons=beacons,
-        trajectory=tuple(draw(st.lists(walk, min_size=1, max_size=4))),
+        trajectory=draw(st.lists(walk, min_size=1, max_size=4)),
         seed=draw(st.integers(0, 2**64)),
         path_loss=PathLossParams(draw(dbm), draw(positive), draw(positive)),
         radio=RadioSpec(tx, tx - draw(positive), draw(positive)),
@@ -695,6 +707,7 @@ JSON_VALUES = st.integers(-2, 100) | st.floats() | st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(_doc_paths(FULL_DOC))), JSON_VALUES)
+@example(("shadowing", "sigma_db"), -0.0)
 def test_fuzzed_field_never_exits_internal(path, value):
     """Any JSON value in place of any one field is rejected or run, never a
     crash, and stderr holds nothing but the one error report: no warning."""

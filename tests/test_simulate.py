@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def triangle_scenario(seed, steps=60, sigma=0.0, env=None, target=(12.0, 9.0)):
     return Scenario(
         roi=Rect(0, 0, 30, 30),
         beacons=TRIANGLE,
-        trajectory=(Point2D(*target),) * steps,
+        trajectory=(target,) * steps,
         seed=seed,
         shadowing=ShadowingModel(sigma),
         environment=env if env is not None else ChannelEnvironment(),
@@ -58,7 +59,7 @@ def test_planner_snaps_spacing_down():
 def test_planner_minimum_is_four_corners():
     plan = plan_square_grid_deployment(Rect(0, 0, 2, 3), 25.0, 0.9)
     assert len(plan.positions) == 4
-    assert set((p.x, p.y) for p in plan.positions) == {(0, 0), (2, 0), (0, 3), (2, 3)}
+    assert set(map(tuple, plan.positions.tolist())) == {(0, 0), (2, 0), (0, 3), (2, 3)}
 
 
 def test_planner_output_always_three_covers():
@@ -79,6 +80,40 @@ def test_planner_capacity_limit():
         plan_square_grid_deployment(Rect(0, 0, 30, 30), 5e-324)
     with pytest.raises(CapacityError):  # the nominal spacing underflows to 0
         plan_square_grid_deployment(Rect(0, 0, 30, 30), 1e-200, safety=1e-200)
+
+
+@pytest.mark.parametrize("roi, radio_range, safety", [
+    (Rect(0, 0, 30, 30), 25.0, 0.9),
+    (Rect(-3.7, 1.1, 41.3, 19.9), 7.3, 0.9),
+    (Rect(0.1, 0.2, 0.7, 0.9), 0.3, 0.55),
+    (Rect(-1e3, -5e2, 1e3, 5e2), 60.96, 1.0),
+    (Rect(1e6 + 0.1, -7.25, 1e6 + 93.3, 11.5), 9.9, 0.8),
+])
+def test_planner_positions_are_the_scalar_formula(roi, radio_range, safety):
+    # each coordinate is x_min + ix * spacing_x (or the y twin) in Python
+    # floats, bit for bit, row by row; the array is read-only
+    plan = plan_square_grid_deployment(roi, radio_range, safety)
+    nominal = safety * radio_range / math.sqrt(2.0)
+    cells_x, cells_y = math.ceil(roi.width / nominal), math.ceil(roi.height / nominal)
+    expected = [(roi.x_min + ix * plan.spacing_x, roi.y_min + iy * plan.spacing_y)
+                for iy in range(cells_y + 1) for ix in range(cells_x + 1)]
+    assert plan.positions.shape == (len(expected), 2) and plan.positions.dtype == np.float64
+    assert plan.positions.tobytes() == np.array(expected).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        plan.positions[0, 0] = 1.0
+
+
+def test_planner_at_its_cap_stays_small():
+    # 1,000,000 beacons, the cap, are one 16 MB (n, 2) array; one point
+    # object per beacon would peak at about 138 MiB
+    tracemalloc.start()
+    try:
+        plan = plan_square_grid_deployment(Rect(0, 0, 999, 999), 1.5714)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.positions.shape == (1_000_000, 2)
+    assert peak < 64 << 20
 
 
 def test_verifier_lattice_capacity_limit():
@@ -111,13 +146,13 @@ def test_planner_validation():
 
 def test_boundary_distance_counts_as_covered():
     # three beacons all at exactly radio range from the sample point
-    plan = DeploymentPlan((Point2D(0, 0), Point2D(6, 0), Point2D(3, 3)), 0.0, 0.0)
+    plan = DeploymentPlan(((0, 0), (6, 0), (3, 3)), 0.0, 0.0)
     ok, uncovered = verify_three_coverage(plan, Rect(3, 0, 3, 0), 3.0, grid_step=1.0)
-    assert ok and uncovered == []
+    assert ok and uncovered.shape == (0, 2)
 
 
 def test_two_beacons_cover_nothing():
-    plan = DeploymentPlan((Point2D(0, 0), Point2D(1, 0)), 0.0, 0.0)
+    plan = DeploymentPlan(((0, 0), (1, 0)), 0.0, 0.0)
     ok, uncovered = verify_three_coverage(plan, Rect(0, 0, 1, 1), 100.0, grid_step=0.5)
     assert not ok
     assert len(uncovered) == 9  # full 3x3 lattice
@@ -127,45 +162,42 @@ def test_triangle_over_bounding_box_needs_far_corner_reach():
     # with exactly three beacons every box point must reach all three;
     # the binding distance is corner (30,30) to (0,0) = sqrt(1800) = 42.4264 m,
     # so 35 m fails and 43 m passes
-    plan = DeploymentPlan(tuple(a.position for a in TRIANGLE), 0.0, 0.0)
+    plan = DeploymentPlan([(a.position.x, a.position.y) for a in TRIANGLE], 0.0, 0.0)
     box = Rect(0, 0, 30, 30)
     assert math.hypot(30, 30) == pytest.approx(42.42640687119285)
     ok35, uncovered35 = verify_three_coverage(plan, box, 35.0)
     assert not ok35
-    assert any(p.x == 30.0 and p.y == 30.0 for p in uncovered35)
+    assert [30.0, 30.0] in uncovered35.tolist()
     ok43, uncovered43 = verify_three_coverage(plan, box, 43.0)
-    assert ok43 and uncovered43 == []
+    assert ok43 and uncovered43.shape == (0, 2)
 
 
 def meshgrid_uncovered(plan, roi, radio_range, grid_step=0.25):
-    """Reference uncovered list: the point-list kernel over the raveled
+    """Reference uncovered points: the point-list kernel over the raveled
     meshgrid of the verifier's lattice, in that order."""
     xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
     ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
     gx, gy = np.meshgrid(xs, ys)
     px, py = gx.ravel(), gy.ravel()
-    bx = np.array([p.x for p in plan.positions])
-    by = np.array([p.y for p in plan.positions])
-    counts = kernels.coverage_counts(px, py, bx, by, float(radio_range), 3)
-    return [Point2D(float(px[i]), float(py[i])) for i in np.flatnonzero(counts < 3)]
+    counts = kernels.coverage_counts(px, py, *plan.positions.T, float(radio_range), 3)
+    return np.stack((px, py), axis=1)[counts < 3]
 
 
 def test_uncovered_points_keep_the_meshgrid_order():
     # five scattered beacons over a ragged 20 x 13.1 m floor leave most of
     # it uncovered; coverage.json writes the first 100, so order is output
-    plan = DeploymentPlan((Point2D(2, 3), Point2D(9.5, 1), Point2D(5, 8),
-                           Point2D(25, 6.5), Point2D(14, 12)), 0.0, 0.0)
+    plan = DeploymentPlan(((2, 3), (9.5, 1), (5, 8), (25, 6.5), (14, 12)), 0.0, 0.0)
     roi = Rect(-1, 0.3, 19, 13.4)
     for radio_range in (7.0, 9.7, 12.0):
         ok, uncovered = verify_three_coverage(plan, roi, radio_range)
         expected = meshgrid_uncovered(plan, roi, radio_range)
         assert not ok and 100 < len(uncovered) < 81 * 54  # 81 x 54 points
-        assert uncovered == expected
-        assert all(type(p.x) is float and type(p.y) is float for p in uncovered)
+        assert uncovered.dtype == np.float64 and uncovered.shape == expected.shape
+        assert uncovered.tobytes() == expected.tobytes()
 
 
 def test_lattice_includes_ragged_boundary():
-    plan = DeploymentPlan((Point2D(0, 0), Point2D(0.9, 0), Point2D(0, 0.9)), 0.0, 0.0)
+    plan = DeploymentPlan(((0, 0), (0.9, 0), (0, 0.9)), 0.0, 0.0)
     # width 0.9 is not a multiple of 0.25: the right/top edges must still
     # be sampled
     ok, uncovered = verify_three_coverage(plan, Rect(0, 0, 0.9, 0.9), 2.0)
@@ -212,7 +244,7 @@ def test_unreachable_beacons_degrade_gracefully():
     s = Scenario(
         roi=Rect(0, 0, 30, 30),
         beacons=far,
-        trajectory=(Point2D(12, 9),) * 5,
+        trajectory=((12, 9),) * 5,
         seed=0,
         shadowing=ShadowingModel(0.0),
     )
@@ -252,7 +284,7 @@ def test_sparse_lattice_columns_are_consistent():
     res = run_scenario(Scenario(
         roi=Rect(0, 0, 30, 30),
         beacons=lattice,
-        trajectory=tuple(Point2D(5 + 0.5 * i, 5 + 0.35 * i) for i in range(40)),
+        trajectory=[(5 + 0.5 * i, 5 + 0.35 * i) for i in range(40)],
         seed=5,
         path_loss=PathLossParams(exponent=3.0),
         radio=RadioSpec(sensitivity=-80.0),
@@ -277,20 +309,35 @@ def test_sparse_lattice_columns_are_consistent():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 10, 10), beacons=TRIANGLE,
-                 trajectory=(Point2D(20, 20),), seed=1)  # outside roi
+                 trajectory=((20, 20),), seed=1)  # outside roi
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30),
                  beacons=(TRIANGLE[0], AnchorNode(0, Point2D(1, 1)), TRIANGLE[2]),
-                 trajectory=(Point2D(5, 5),), seed=1)  # duplicate id
+                 trajectory=((5, 5),), seed=1)  # duplicate id
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
-                 trajectory=(Point2D(5, 5),), seed=1, aggregation_window=0)
+                 trajectory=((5, 5),), seed=1, aggregation_window=0)
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
-                 trajectory=(Point2D(5, 5), Point2D(30, 0)), seed=1)  # on a beacon
+                 trajectory=((5, 5), (30, 0)), seed=1)  # on a beacon
     with pytest.raises(ValueError):
         Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE,
-                 trajectory=(Point2D(5, 5),), seed=-1)  # no generator takes it
+                 trajectory=((5, 5),), seed=-1)  # no generator takes it
+
+
+@pytest.mark.parametrize("trajectory", [(), [(5.0, 5.0, 1.0)] * 2, [(5.0, 5.0), (math.nan, 5.0)]],
+                         ids=["empty", "three_columns", "nan"])
+def test_scenario_rejects_malformed_trajectory(trajectory):
+    with pytest.raises(ValueError):
+        Scenario(roi=Rect(0, 0, 30, 30), beacons=TRIANGLE, trajectory=trajectory, seed=1)
+
+
+def test_trajectory_is_one_read_only_array():
+    # the run's true column is the scenario's trajectory itself
+    s = triangle_scenario(seed=0, steps=4)
+    assert s.trajectory.shape == (4, 2) and s.trajectory.dtype == np.float64
+    assert not s.trajectory.flags.writeable
+    assert run_scenario(s).true is s.trajectory
 
 
 NAN, INF = math.nan, math.inf
@@ -347,7 +394,7 @@ def oracle_run(s):
     kf_cov = None
 
     n_steps = len(s.trajectory)
-    true = np.array([(p.x, p.y) for p in s.trajectory], dtype=np.float64)
+    true = np.array(s.trajectory, dtype=np.float64)
     raw = np.full((n_steps, 2), np.nan)
     averaged = np.full((n_steps, 2), np.nan)
     kalman = np.full((n_steps, 2), np.nan)
@@ -494,12 +541,11 @@ def batch_scenes(draw):
     ids = draw(st.permutations(range(n)))
     beacons = tuple(AnchorNode(3 * i + 1, Point2D(5.0 * cx, 5.0 * cy))
                     for i, (cx, cy) in zip(ids, cells))
-    on_beacon = {b.position for b in beacons}
-    lattice = st.builds(lambda i, j: Point2D(2.5 * i, 2.5 * j),
-                        st.integers(0, 12), st.integers(0, 12))
-    anywhere = st.builds(Point2D, st.floats(0, 30), st.floats(0, 30))
+    on_beacon = {(b.position.x, b.position.y) for b in beacons}
+    lattice = st.builds(lambda i, j: (2.5 * i, 2.5 * j), st.integers(0, 12), st.integers(0, 12))
+    anywhere = st.tuples(st.floats(0, 30), st.floats(0, 30))
     waypoints = draw(st.lists(st.one_of(lattice, anywhere), min_size=1, max_size=25))
-    trajectory = tuple(Point2D(p.x + 1.25, p.y) if p in on_beacon else p for p in waypoints)
+    trajectory = [(x + 1.25, y) if (x, y) in on_beacon else (x, y) for x, y in waypoints]
     interferers = draw(st.lists(st.builds(
         InterfererProfile, st.builds(WifiChannel, st.integers(1, 13)),
         st.floats(-90.0, -40.0), st.floats(0.0, 1.0)), max_size=4))
@@ -564,7 +610,7 @@ def test_run_batch_matches_per_step_loop_across_rescans():
     s = Scenario(
         roi=Rect(-5, 0, 35, 32),
         beacons=lattice,
-        trajectory=tuple(Point2D(3 + 0.6 * i, 4 + 0.4 * i) for i in range(40)),
+        trajectory=[(3 + 0.6 * i, 4 + 0.4 * i) for i in range(40)],
         seed=0,
         path_loss=PathLossParams(rssi_at_ref=-40.0, ref_distance=2.0, exponent=2.5),
         radio=RadioSpec(tx_power=10.0, sensitivity=-95.0, max_range=45.0),
@@ -653,7 +699,7 @@ def test_status_names_each_missing_estimate():
     # whose prediction is always anchor (0, 0)
     def run(beacons, **kw):
         return run_scenario(Scenario(roi=Rect(-50, -50, 50, 50), beacons=beacons,
-                                     trajectory=(Point2D(12.0, 9.0),) * 6, seed=3,
+                                     trajectory=((12.0, 9.0),) * 6, seed=3,
                                      shadowing=ShadowingModel(1.0), **kw))
 
     unheard = run(TRIANGLE, radio=RadioSpec(sensitivity=-60.0))
@@ -703,7 +749,7 @@ def test_batch_buffers_stay_within_their_bounds(monkeypatch):
                     shapes.clear()
                     solves.clear()
                     run_scenario(Scenario(roi=Rect(0, 0, 30, 30), beacons=beacons,
-                                          trajectory=(Point2D(12.0, 9.0),) * n_steps,
+                                          trajectory=((12.0, 9.0),) * n_steps,
                                           seed=1, aggregation_window=window))
                     assert sum(steps for steps, _, _ in shapes) == n_steps
                     assert len(solves) == len(shapes)
