@@ -9,7 +9,10 @@ mean only.
 A scan is array work: one (16, samples, interferers) uniform draw, laid
 out as channel by channel, sample by sample, readings through
 kernels.energy_scan over the environment's overlap table, and the
-per-channel statistics along the sample axis.
+per-channel statistics along the sample axis. Its report is those
+statistics as they come out, 16 means and 16 variances in ascending
+channel order; the only channel object a scan builds is the one
+select_channel returns.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .spectrum import ZIGBEE_CHANNELS, ChannelEnvironment, ZigbeeChannel
 
 __all__ = [
     "ScanConfig",
-    "ChannelRecord",
     "ScanReport",
     "ChannelMonitor",
     "scan_all_channels",
@@ -56,22 +58,17 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class ChannelRecord:
-    channel: ZigbeeChannel
-    mean_energy: Dbm
-    variance: float  # dB^2
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    """Energy statistics for all 16 channels, ascending index."""
+    """Energy statistics of one scan as two 16-tuples in ascending channel
+    order, entry i for channel ZIGBEE_CHANNELS[i]: the mean energy in dBm
+    and the population variance of the readings in dB^2."""
 
-    records: tuple[ChannelRecord, ...]
+    mean_energy: tuple[Dbm, ...]
+    variance: tuple[float, ...]
 
     def __post_init__(self):
-        indices = [r.channel.index for r in self.records]
-        if indices != list(ZIGBEE_CHANNELS):
-            raise ValueError("report must cover channels 11..26 exactly once, ascending")
+        if not len(self.mean_energy) == len(self.variance) == len(ZIGBEE_CHANNELS):
+            raise ValueError("report needs one mean and one variance per channel 11..26")
 
 
 def scan_all_channels(
@@ -81,15 +78,13 @@ def scan_all_channels(
     and record mean and population variance of the energy readings."""
     active = env.draw_active(rng, (len(ZIGBEE_CHANNELS), cfg.samples_per_channel))
     readings = kernels.energy_scan(active, env.overlap[:, None, :], env.powers_mw, env.floor_mw)
-    stats = zip(ZIGBEE_CHANNELS, readings.mean(axis=1).tolist(), readings.var(axis=1).tolist())
-    return ScanReport(tuple(ChannelRecord(ZigbeeChannel(index), mean, var)
-                            for index, mean, var in stats))
+    return ScanReport(tuple(readings.mean(axis=1).tolist()), tuple(readings.var(axis=1).tolist()))
 
 
 def select_channel(report: ScanReport) -> ZigbeeChannel:
     """Channel with minimum mean energy; ties go to the lowest index."""
-    best = min(report.records, key=lambda r: (r.mean_energy, r.channel.index))
-    return best.channel
+    means = report.mean_energy
+    return ZigbeeChannel(ZIGBEE_CHANNELS[means.index(min(means))])
 
 
 class ChannelMonitor:

@@ -32,7 +32,7 @@ from . import kernels
 from .channel import ScanConfig, scan_all_channels, select_channel
 from .errors import LocalizationError
 from .geometry import AnchorNode, Point2D, Rect
-from .radio import PathLossParams, RadioSpec, ShadowingModel
+from .radio import PathLossParams, RadioSpec, ShadowingModel, distance_from_rssi
 from .simulate import (
     FLAVORS,
     RunResult,
@@ -44,7 +44,8 @@ from .simulate import (
     step_errors,
     verify_three_coverage,
 )
-from .spectrum import ChannelEnvironment, InterfererProfile, WifiChannel
+from .spectrum import (ZIGBEE_CHANNELS, ChannelEnvironment, InterfererProfile, WifiChannel,
+                       ZigbeeChannel)
 from .tracking import KalmanConfig
 
 EXIT_OK = 0
@@ -407,15 +408,12 @@ def _coverage_precheck(s: Scenario) -> None:
     """Fail on the trajectory points not within reach of >= 3 beacons. A
     beacon's reach is the lower of the radio's planning range and the
     distance at which the path-loss mean falls to the receiver sensitivity."""
-    pl = s.path_loss
     px, py = s.trajectory.T
     bx, by = np.array([(b.position.x, b.position.y) for b in s.beacons]).T
-    # a reach or a squared distance beyond the float range is inf, and
-    # compares as such
+    reach = min(s.radio.max_range, distance_from_rssi(s.path_loss, s.radio.sensitivity))
+    # a reach (as distance_from_rssi gives it) or a squared distance beyond
+    # the float range is inf, and compares as such
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        heard = kernels.path_loss_range(np.float64(s.radio.sensitivity), pl.rssi_at_ref,
-                                        pl.ref_distance, pl.exponent)
-        reach = min(s.radio.max_range, float(heard))
         counts = kernels.coverage_counts(px, py, bx, by, reach, 3)
     bad = counts < 3
     if bad.any():
@@ -460,10 +458,10 @@ def cmd_scan(args) -> None:
     selected = select_channel(report)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [(r.channel.index, r.channel.center_mhz, r.mean_energy, r.variance)
-            for r in report.records]
+    centers = [ZigbeeChannel(c).center_mhz for c in ZIGBEE_CHANNELS]
     _write_csv(out_dir / "scan.csv", ["channel", "center_mhz", "mean_dbm", "variance_db2"],
-               [np.array(column) for column in zip(*rows)])
+               [np.array(c) for c in (ZIGBEE_CHANNELS, centers, report.mean_energy,
+                                      report.variance)])
     print(f"selected channel: {selected.index}")
 
 

@@ -84,7 +84,7 @@ _MAX_COVERAGE_PAIRS = 1_000_000_000
 STEP_BLOCK_READINGS = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Complete simulation input; `seed` fixes every random draw.
     `trajectory`, the node's position per step, takes any finite (T, 2)

@@ -46,7 +46,7 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KalmanConfig:
     """Filter matrices: transition, control offset, process noise Q and
     measurement noise R. Defaults model a quasi-static target with
@@ -76,7 +76,7 @@ class KalmanConfig:
             raise ValueError("measurement_noise must be positive definite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KalmanState:
     """Position estimate with its error covariance."""
 
@@ -94,7 +94,7 @@ class KalmanState:
             raise ValueError("covariance must be (numerically) positive semidefinite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeMeasurement:
     """Measured distances to three anchors, from inverted aggregated RSSI."""
 

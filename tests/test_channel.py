@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rssiloc.channel import (
     ChannelMonitor,
     ScanConfig,
+    ScanReport,
     scan_all_channels,
     select_channel,
 )
@@ -37,21 +38,19 @@ def clean_channels(env: ChannelEnvironment) -> set[int]:
 
 def test_scan_quiet_environment():
     report = scan_all_channels(ChannelEnvironment(), ScanConfig(), np.random.default_rng(0))
-    assert len(report.records) == 16
-    for rec in report.records:
-        assert rec.mean_energy == -100.0
-        assert rec.variance == 0.0
+    assert report.mean_energy == (-100.0,) * 16
+    assert report.variance == (0.0,) * 16
 
 
 def test_scan_wifi_trio_partition():
     report = scan_all_channels(WIFI_TRIO, ScanConfig(), np.random.default_rng(0))
     clean = clean_channels(WIFI_TRIO)
     assert clean == {15, 20, 25, 26}
-    for rec in report.records:
-        if rec.channel.index in clean:
-            assert rec.mean_energy == -100.0
+    for index, mean in zip(ZIGBEE_CHANNELS, report.mean_energy):
+        if index in clean:
+            assert mean == -100.0
         else:
-            assert rec.mean_energy == pytest.approx(-70.0, abs=0.01)
+            assert mean == pytest.approx(-70.0, abs=0.01)
 
 
 def oracle_active(env, rng):
@@ -101,7 +100,7 @@ def test_scan_matches_per_sample_oracle(interferers, floor, samples, seed, index
     ch = ZigbeeChannel(index)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     report = scan_all_channels(env, cfg, rng)
-    assert [(r.mean_energy, r.variance) for r in report.records] == oracle_scan(env, cfg, ref)
+    assert list(zip(report.mean_energy, report.variance)) == oracle_scan(env, cfg, ref)
     assert packet_success(env, ch, rng) == oracle_packet(env, ch, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -146,8 +145,27 @@ def test_selected_channel_has_minimal_mean():
     )
     report = scan_all_channels(env, ScanConfig(), rng)
     chosen = select_channel(report)
-    chosen_mean = next(r.mean_energy for r in report.records if r.channel == chosen)
-    assert all(chosen_mean <= r.mean_energy for r in report.records)
+    chosen_mean = report.mean_energy[ZIGBEE_CHANNELS.index(chosen.index)]
+    assert all(chosen_mean <= mean for mean in report.mean_energy)
+
+
+# A few levels, signed zeros among them, so most reports tie on their
+# minimum; the pick is the (mean, index) minimum.
+@given(st.lists(st.sampled_from([-90.0, -90.0 + 1e-9, -0.0, 0.0, 5.0]), min_size=16, max_size=16),
+       st.lists(st.floats(0.0, 100.0), min_size=16, max_size=16))
+def test_select_takes_the_first_minimum(means, variances):
+    report = ScanReport(tuple(means), tuple(variances))
+    assert select_channel(report) == ZigbeeChannel(min(zip(means, ZIGBEE_CHANNELS))[1])
+
+
+@pytest.mark.parametrize("means, variances", [
+    ((-100.0,) * 15, (0.0,) * 15),
+    ((-100.0,) * 16, (0.0,) * 17),
+    ((), ()),
+])
+def test_report_needs_one_entry_per_channel(means, variances):
+    with pytest.raises(ValueError):
+        ScanReport(means, variances)
 
 
 def test_monitor_empty_window():

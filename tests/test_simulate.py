@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rssiloc import kernels, simulate
 from rssiloc.channel import ChannelMonitor, ScanConfig, scan_all_channels, select_channel
+from rssiloc.cli import load_scenario
 from rssiloc.errors import CapacityError, FilterDivergenceError, NoResolvedStepsError
 from rssiloc.geometry import AnchorNode, Point2D, Rect
 from rssiloc.radio import PathLossParams, RadioSpec, ShadowingModel
@@ -24,7 +26,7 @@ from rssiloc.simulate import (
     verify_three_coverage,
 )
 from rssiloc.spectrum import ChannelEnvironment, InterfererProfile, WifiChannel, packet_success
-from rssiloc.tracking import KalmanConfig
+from rssiloc.tracking import KalmanConfig, KalmanState, RangeMeasurement
 
 TRIANGLE = (
     AnchorNode(0, Point2D(0, 0)),
@@ -366,6 +368,24 @@ NAN, INF = math.nan, math.inf
 def test_library_types_reject_non_finite_values(build):
     with pytest.raises(ValueError):
         build()
+
+
+DESK = Path(__file__).resolve().parent.parent / "scenarios" / "desk.json"
+
+
+# Types holding arrays compare and hash by identity: the generated value
+# methods would ask an array for one truth value, or hash it.
+@pytest.mark.parametrize("build", [
+    lambda: load_scenario(DESK),
+    lambda: KalmanConfig(),
+    lambda: KalmanState(np.zeros(2), np.eye(2)),
+    lambda: RangeMeasurement(TRIANGLE, np.array([1.0, 2.0, 3.0])),
+], ids=["scenario", "kalman_config", "kalman_state", "range_measurement"])
+def test_array_holding_types_compare_by_identity(build):
+    x = build()
+    assert x == x
+    assert (x == build()) is False
+    assert isinstance(hash(x), int)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ def scan_means(env, rng, samples=1):
     """Mean energy per ZigBee channel index from one scan; with one sample
     a channel's mean is its single reading."""
     report = scan_all_channels(env, ScanConfig(samples_per_channel=samples), rng)
-    return {r.channel.index: r.mean_energy for r in report.records}
+    return dict(zip(ZIGBEE_CHANNELS, report.mean_energy))
 
 
 def test_channel_centers():
