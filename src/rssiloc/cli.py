@@ -2,7 +2,8 @@
 
 Subcommands: `simulate` (full pipeline run to steps.csv + summary.json),
 `scan` (energy scan to scan.csv), `deploy` (beacon grid planning to
-beacons.csv), `compare` (per-step pipeline errors to compare.csv).
+beacons.csv, and its three-coverage check on a fixed 0.25 m lattice to
+coverage.json), `compare` (per-step pipeline errors to compare.csv).
 
 Scenario files are JSON mirroring the Scenario type field-for-field,
 physical quantities carrying their unit in the field name; one table,
@@ -10,8 +11,9 @@ _FIELDS, lays the schema out. Unknown fields are rejected, missing
 optional fields take library defaults, and `seed` is required. A
 trajectory parses straight to the (T, 2) array a Scenario holds.
 
-Exit codes: 0 success; 2 malformed input, including any value a library
-type rejects (the message names its field path) or an unwritable --out;
+Exit codes: 0 success (`--help` included); 2 malformed input, including
+a command line argparse rejects, any value a library type rejects (the
+message names its field path) or an unwritable --out;
 3 domain failure: no three-beacon coverage, no resolved step, a diverged
 filter, or a plan or verification lattice over its capacity; 1 internal error.
 """
@@ -372,7 +374,7 @@ class ScenarioText:
     """Output text that every run of one scenario shares, so a sweep
     encodes it once: `config`, the config echo's fields as summary.json
     text (each run sets its own seed), and `step_cells`, the step, true_x
-    and true_y cells of steps.csv and steps.json."""
+    and true_y cells of steps.csv."""
 
     def __init__(self, s: Scenario):
         self.config = {key: _Json(_encode(value, "    "))
@@ -381,24 +383,17 @@ class ScenarioText:
                            *map(_cells, s.trajectory.T)]
 
 
-def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path, fmt: str,
+def write_run_outputs(result: RunResult, text: ScenarioText, out_dir: Path,
                       seed: int) -> dict:
-    """Write steps.<fmt> and summary.json of the run of this seed; returns
+    """Write steps.csv and summary.json of the run of this seed; returns
     its metrics block. A run where no step resolved raises before any file
     is written."""
     metrics = _metrics_block(result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [*text.step_cells, *map(_cells, (*result.raw.T, *result.averaged.T,
-                                             *result.kalman.T, result.channel,
-                                             result.resolved.astype(np.int64)))]
-    if fmt == "json":
-        # a cell's text is its JSON text: ints and finite floats (an
-        # estimate is finite or absent) as written, an empty cell as null
-        _write_json(out_dir / "steps.json", [
-            {key: _Json(cell or "null") for key, cell in zip(_STEP_HEADER, row)}
-            for row in zip(*cells)])
-    else:
-        _write_csv(out_dir / "steps.csv", _STEP_HEADER, cells)
+    _write_csv(out_dir / "steps.csv", _STEP_HEADER,
+               [*text.step_cells, *map(_cells, (*result.raw.T, *result.averaged.T,
+                                                *result.kalman.T, result.channel,
+                                                result.resolved.astype(np.int64)))])
     _write_json(out_dir / "summary.json",
                 {"seed": seed, "config": dict(text.config, seed=seed), "metrics": metrics})
     return metrics
@@ -446,7 +441,7 @@ def cmd_simulate(args) -> None:
     # keep their outputs; a single run writes to the output directory itself
     for seed, result in zip(seeds, run_batch(scenario, seeds)):
         out_dir = out_root if args.seeds is None else out_root / f"seed_{seed}"
-        kf = write_run_outputs(result, text, out_dir, args.format, seed)["kalman"]
+        kf = write_run_outputs(result, text, out_dir, seed)["kalman"]
         print(f"seed {seed}: {len(result.true)} steps, "
               f"kalman rmse {kf['rmse_m']:.4f} m -> {out_dir}")
 
@@ -481,10 +476,8 @@ def cmd_deploy(args) -> None:
         raise ScenarioFileError(f"--range-m must be finite and > 0, got {args.range_m}")
     if not 0 < args.safety <= 1:
         raise ScenarioFileError(f"--safety must be in (0, 1], got {args.safety}")
-    if not 0 < args.grid_step < math.inf:
-        raise ScenarioFileError(f"--grid-step must be finite and > 0, got {args.grid_step}")
     plan = plan_square_grid_deployment(roi, args.range_m, args.safety)
-    ok, uncovered = verify_three_coverage(plan, roi, args.range_m, args.grid_step)
+    ok, uncovered = verify_three_coverage(plan, roi, args.range_m)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "beacons.csv", ["id", "x", "y"],
@@ -540,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--seeds", type=int, default=None, metavar="N",
                    help="sweep N consecutive seeds into per-seed subdirectories")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="per-step output format")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scan", help="energy-scan the 16 channels and pick one")
@@ -554,8 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi", required=True, help="roi size as WIDTHxHEIGHT, meters")
     p.add_argument("--range-m", type=float, required=True, help="beacon radio range")
     p.add_argument("--safety", type=float, default=0.9, help="spacing derating factor")
-    p.add_argument("--grid-step", type=float, default=0.25,
-                   help="verification lattice pitch, meters")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_deploy)
 
@@ -569,7 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     try:
         args.func(args)
     except ScenarioFileError as exc:

@@ -77,6 +77,7 @@ FLAVORS = ("raw", "averaged", "kalman")
 _MAX_PLANNED_BEACONS = 1_000_000
 _MAX_LATTICE_POINTS = 4_000_000
 _MAX_COVERAGE_PAIRS = 1_000_000_000
+_LATTICE_PITCH_M = 0.25  # verify_three_coverage's sample lattice
 
 # run_batch's bound on the window readings of one step block (64 KiB of
 # them); larger blocks save no time and raise peak memory by their
@@ -198,8 +199,8 @@ def plan_square_grid_deployment(
     down per axis so an integer number of cells spans the roi, boundary
     rows and columns included.
     """
-    if radio_range <= 0.0:
-        raise ValueError(f"radio_range must be > 0, got {radio_range}")
+    if not 0.0 < radio_range < math.inf:
+        raise ValueError(f"radio_range must be finite and > 0, got {radio_range}")
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety must be in (0, 1], got {safety}")
     if roi.width <= 0.0 or roi.height <= 0.0:
@@ -227,43 +228,46 @@ def plan_square_grid_deployment(
     return DeploymentPlan(positions, spacing_x, spacing_y)
 
 
-def _lattice_1d(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    values = lo + step * np.arange(n)
+def _lattice_1d(lo: float, hi: float) -> np.ndarray:
+    n = int(math.floor((hi - lo) / _LATTICE_PITCH_M + 1e-9)) + 1
+    values = lo + _LATTICE_PITCH_M * np.arange(n)
     if values[-1] < hi - 1e-9:
         values = np.append(values, hi)
     return values
 
 
 def verify_three_coverage(
-    plan: DeploymentPlan, roi: Rect, radio_range: float, grid_step: float = 0.25
+    plan: DeploymentPlan, roi: Rect, radio_range: float
 ) -> tuple[bool, np.ndarray]:
-    """Check that every roi lattice point (grid_step pitch, boundaries
-    included) lies within radio_range of at least three beacons. Each
-    beacon is tested over the lattice points in the bounding box of its
-    disc, with the same closed-ball predicate as a test of every point.
-    Returns the verdict and the uncovered sample points as an (m, 2)
-    float64 array, row by row (y, then x, ascending)."""
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
+    """Check that every point of the roi lattice of 0.25 m pitch
+    (boundaries included) lies within radio_range of at least three
+    beacons; a hole narrower than the pitch can fall between the points.
+    Each beacon is tested over the lattice points in the bounding box of
+    its disc, with the same closed-ball predicate as a test of every
+    point. Returns the verdict and the uncovered sample points as an
+    (m, 2) float64 array, row by row (y, then x, ascending)."""
+    if not 0.0 < radio_range < math.inf:
+        raise ValueError(f"radio_range must be finite and > 0, got {radio_range}")
     # bound the lattice in floats before any count becomes an int or array;
-    # each axis holds at most span / step + 2 points
-    points = (roi.width / grid_step + 2.0) * (roi.height / grid_step + 2.0)
+    # each axis holds at most span / pitch + 2 points
+    points = (roi.width / _LATTICE_PITCH_M + 2.0) * (roi.height / _LATTICE_PITCH_M + 2.0)
     if points > _MAX_LATTICE_POINTS:
         raise CapacityError(
             f"verification lattice would hold about {points:.3g} points "
             f"(limit {_MAX_LATTICE_POINTS})"
         )
     # no beacon's box holds more than every point, so points x beacons
-    # bounds the distance tests and the time
+    # bounds the distance tests. The time grows with the beacon count (one
+    # Python step per beacon, however few points its box holds), which
+    # `deploy` holds to the planner's _MAX_PLANNED_BEACONS
     pairs = points * len(plan.positions)
     if pairs > _MAX_COVERAGE_PAIRS:
         raise CapacityError(
             f"coverage check would test about {pairs:.3g} point-beacon pairs "
             f"(limit {_MAX_COVERAGE_PAIRS})"
         )
-    xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
-    ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
+    xs = _lattice_1d(roi.x_min, roi.x_max)
+    ys = _lattice_1d(roi.y_min, roi.y_max)
     # a squared offset beyond the float range is inf, and compares as such
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         counts = kernels.lattice_coverage_counts(xs, ys, *plan.positions.T,

@@ -278,7 +278,7 @@ def test_criterion_8_deployment_soundness():
         radio_range = float(rng.uniform(10.0, 60.0))
         roi = Rect(0.0, 0.0, float(w), float(h))
         plan = plan_square_grid_deployment(roi, radio_range)
-        covered, uncovered = verify_three_coverage(plan, roi, radio_range, 0.25)
+        covered, uncovered = verify_three_coverage(plan, roi, radio_range)
         if not covered:
             failures.append((w, h, radio_range, uncovered[:2]))
     elapsed = time.perf_counter() - t0

@@ -144,15 +144,6 @@ def test_simulate_seed_sweep_subdirectories(tmp_path):
         assert (sub / "steps.csv").exists() and (sub / "summary.json").exists()
 
 
-def test_simulate_json_format(tmp_path):
-    scn = write_scenario(tmp_path / "s.json")
-    out = tmp_path / "out"
-    assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--format", "json"]) == EXIT_OK
-    steps = json.loads((out / "steps.json").read_text())
-    assert len(steps) == 25
-    assert steps[0]["channel"] == 11
-
-
 def test_scan_quiet_environment(tmp_path, capsys):
     scn = write_scenario(tmp_path / "s.json")
     out = tmp_path / "out"
@@ -263,16 +254,28 @@ def test_simulate_seed_sweep_rejects_empty_count(tmp_path):
     ["--safety", "-0.5"],
     ["--safety", "1.5"],
     ["--safety", "nan"],
-    ["--grid-step", "0"],
-    ["--grid-step", "-1"],
-    ["--grid-step", "nan"],
-    ["--grid-step", "inf"],
     ["--range-m", "nan"],
     ["--range-m", "inf"],
 ])
 def test_deploy_flags_out_of_range(tmp_path, flags):
     argv = ["deploy", "--roi", "30x30", "--range-m", "25", "--out", str(tmp_path / "o")]
     assert main(argv + flags) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--scenario", str(DESK), "--format", "json"], EXIT_INPUT),
+    (["deploy", "--roi", "60x40", "--range-m", "25", "--grid-step", "0.25"], EXIT_INPUT),
+    (["locate", "--scenario", str(DESK)], EXIT_INPUT),
+    (["simulate"], EXIT_INPUT),
+    (["simulate", "--scenario", str(DESK), "--seeds", "x"], EXIT_INPUT),
+    (["deploy", "--help"], EXIT_OK),
+])
+def test_argparse_exits_return_their_code(tmp_path, capsys, argv, code):
+    # argparse's exit comes back from main as its code, before any file is written
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    assert "usage: rssiloc" in "".join(capsys.readouterr())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -430,10 +433,8 @@ DOMAIN_FAILURES = {
     "underflow_spacing": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "1e-200",
                                       "--safety", "1e-200"],
     "coverage_pairs": lambda tmp: ["deploy", "--roi", "400x400", "--range-m", "5"],
-    "lattice_capacity": lambda tmp: ["deploy", "--roi", "1000x1000", "--range-m", "25",
-                                     "--grid-step", "0.001"],
-    "denormal_grid_step": lambda tmp: ["deploy", "--roi", "30x30", "--range-m", "25",
-                                       "--grid-step", "5e-324"],
+    # about 1.6e7 points at the 0.25 m pitch
+    "lattice_capacity": lambda tmp: ["deploy", "--roi", "1000x1000", "--range-m", "25"],
 }
 
 

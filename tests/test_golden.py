@@ -109,7 +109,6 @@ ALL_SECTIONS = {
 CASES = {
     "simulate_desk": ["simulate", "--scenario", DESK],
     "simulate_wifi": ["simulate", "--scenario", WIFI],
-    "simulate_desk_json": ["simulate", "--scenario", DESK, "--format", "json"],
     "simulate_desk_seeds3": ["simulate", "--scenario", DESK, "--seeds", "3"],
     "simulate_lattice_sparse": ["simulate", "--scenario", LATTICE_SPARSE],
     "simulate_lattice_ties": ["simulate", "--scenario", LATTICE_TIES],
@@ -166,12 +165,6 @@ GOLDEN = {
     "simulate_desk": {
         "steps.csv":
             "86470ddbe665cd7143a965b8f8e1c8a3acbf0324b5db2fc19602705d766ce997",
-        "summary.json":
-            "a495fc5ae9ec483a36012317bd50aa82048c236ab45c7b2539484633692cb49f",
-    },
-    "simulate_desk_json": {
-        "steps.json":
-            "c2c5b01ed853d0cc358756f6e6c8a1e932e1d929f822aadd8760fc6b8f0fc5d9",
         "summary.json":
             "a495fc5ae9ec483a36012317bd50aa82048c236ab45c7b2539484633692cb49f",
     },

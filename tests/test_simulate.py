@@ -120,9 +120,8 @@ def test_planner_at_its_cap_stays_small():
 
 def test_verifier_lattice_capacity_limit():
     plan = plan_square_grid_deployment(Rect(0, 0, 1000, 1000), 25.0)
-    for step in (0.001, 5e-324):  # 1e12 points, and an infinite count
-        with pytest.raises(CapacityError):
-            verify_three_coverage(plan, Rect(0, 0, 1000, 1000), 25.0, grid_step=step)
+    with pytest.raises(CapacityError):  # about 1.6e7 points at the 0.25 m pitch
+        verify_three_coverage(plan, Rect(0, 0, 1000, 1000), 25.0)
 
 
 def test_verifier_pair_capacity_limit():
@@ -136,8 +135,9 @@ def test_verifier_pair_capacity_limit():
 def test_planner_validation():
     with pytest.raises(ValueError):
         plan_square_grid_deployment(Rect(0, 0, 0, 10), 25.0)
-    with pytest.raises(ValueError):
-        plan_square_grid_deployment(Rect(0, 0, 10, 10), -1.0)
+    for radio_range in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radio_range"):
+            plan_square_grid_deployment(Rect(0, 0, 10, 10), radio_range)
     with pytest.raises(ValueError):
         plan_square_grid_deployment(Rect(0, 0, 10, 10), 25.0, safety=0.0)
 
@@ -146,18 +146,28 @@ def test_planner_validation():
 # coverage verification
 
 
+@pytest.mark.parametrize("radio_range", [-25.0, 0.0, math.nan, math.inf])
+def test_verifier_rejects_a_range_not_finite_and_positive(radio_range):
+    # -25 squares to the r2 of 25 and inf reaches everywhere: no plan may pass
+    # on either, and 0 or nan would fail every point
+    roi = Rect(0, 0, 30, 30)
+    plan = plan_square_grid_deployment(roi, 25.0)
+    with pytest.raises(ValueError, match="radio_range"):
+        verify_three_coverage(plan, roi, radio_range)
+
+
 def test_boundary_distance_counts_as_covered():
     # three beacons all at exactly radio range from the sample point
     plan = DeploymentPlan(((0, 0), (6, 0), (3, 3)), 0.0, 0.0)
-    ok, uncovered = verify_three_coverage(plan, Rect(3, 0, 3, 0), 3.0, grid_step=1.0)
+    ok, uncovered = verify_three_coverage(plan, Rect(3, 0, 3, 0), 3.0)
     assert ok and uncovered.shape == (0, 2)
 
 
 def test_two_beacons_cover_nothing():
     plan = DeploymentPlan(((0, 0), (1, 0)), 0.0, 0.0)
-    ok, uncovered = verify_three_coverage(plan, Rect(0, 0, 1, 1), 100.0, grid_step=0.5)
+    ok, uncovered = verify_three_coverage(plan, Rect(0, 0, 1, 1), 100.0)
     assert not ok
-    assert len(uncovered) == 9  # full 3x3 lattice
+    assert len(uncovered) == 25  # full 5x5 lattice
 
 
 def test_triangle_over_bounding_box_needs_far_corner_reach():
@@ -174,11 +184,11 @@ def test_triangle_over_bounding_box_needs_far_corner_reach():
     assert ok43 and uncovered43.shape == (0, 2)
 
 
-def meshgrid_uncovered(plan, roi, radio_range, grid_step=0.25):
+def meshgrid_uncovered(plan, roi, radio_range):
     """Reference uncovered points: the point-list kernel over the raveled
     meshgrid of the verifier's lattice, in that order."""
-    xs = _lattice_1d(roi.x_min, roi.x_max, grid_step)
-    ys = _lattice_1d(roi.y_min, roi.y_max, grid_step)
+    xs = _lattice_1d(roi.x_min, roi.x_max)
+    ys = _lattice_1d(roi.y_min, roi.y_max)
     gx, gy = np.meshgrid(xs, ys)
     px, py = gx.ravel(), gy.ravel()
     counts = kernels.coverage_counts(px, py, *plan.positions.T, float(radio_range), 3)

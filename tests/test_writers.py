@@ -115,52 +115,15 @@ def test_sweep_files_read_as_each_seed_written_whole(tmp_path):
         "trajectory_m": [[12, 9], [12.5, 9.25], [13, 9.5]],
         "shadowing": {"sigma_db": 2.0},
     }))
-    for fmt in ("csv", "json"):
-        out = tmp_path / fmt
-        assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "3",
-                     "--format", fmt]) == EXIT_OK
-        base = cli.load_scenario(scn)
-        for seed in (42, 43, 44):
-            text = (out / f"seed_{seed}" / "summary.json").read_text()
-            summary = json.loads(text)
-            assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            assert summary["seed"] == seed
-            assert summary["config"] == cli.scenario_to_dict(dataclasses.replace(base, seed=seed))
-        steps = out / "seed_43" / f"steps.{fmt}"
-        if fmt == "json":
-            text = steps.read_text()
-            rows = json.loads(text)
-            assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
-            assert [(r["step"], r["true_x"], r["true_y"]) for r in rows] == [
-                (0, 12.0, 9.0), (1, 12.5, 9.25), (2, 13.0, 9.5)]
-        else:
-            lines = steps.read_text().splitlines()
-            assert [line.split(",")[:3] for line in lines[1:]] == [
-                ["0", "12.0", "9.0"], ["1", "12.5", "9.25"], ["2", "13.0", "9.5"]]
-
-
-def test_steps_json_holds_the_steps_csv_cells(tmp_path):
-    # both formats write one set of step cells: each JSON value's text is
-    # its CSV cell, and null is exactly the empty cell of a step without
-    # that estimate
-    from test_golden import LATTICE_SPARSE
-
-    scn = tmp_path / "s.json"
-    scn.write_text(json.dumps(LATTICE_SPARSE))
-    for fmt in ("csv", "json"):
-        assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / fmt),
-                     "--format", fmt]) == EXIT_OK
-    header, *lines = (tmp_path / "csv" / "steps.csv").read_text().splitlines()
-    text = (tmp_path / "json" / "steps.json").read_text()
-    rows = json.loads(text)
-    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    assert len(rows) == len(lines)
-    empty = 0
-    for row, line in zip(rows, lines):
-        cells = dict(zip(header.split(","), line.split(",")))
-        assert row.keys() == cells.keys()
-        for key, cell in cells.items():
-            assert (row[key] is None) == (cell == "")
-            assert row[key] is None or json.dumps(row[key]) == cell
-        empty += "" in cells.values()
-    assert 0 < empty < len(rows)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out), "--seeds", "3"]) == EXIT_OK
+    base = cli.load_scenario(scn)
+    for seed in (42, 43, 44):
+        text = (out / f"seed_{seed}" / "summary.json").read_text()
+        summary = json.loads(text)
+        assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert summary["seed"] == seed
+        assert summary["config"] == cli.scenario_to_dict(dataclasses.replace(base, seed=seed))
+    lines = (out / "seed_43" / "steps.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["0", "12.0", "9.0"], ["1", "12.5", "9.25"], ["2", "13.0", "9.5"]]
