@@ -254,6 +254,10 @@ def test_simulate_seed_sweep_rejects_empty_count(tmp_path):
     ["--safety", "-0.5"],
     ["--safety", "1.5"],
     ["--safety", "nan"],
+    ["--safety", "inf"],
+    ["--range-m", "0"],
+    ["--range-m", "-25"],
+    ["--range-m=-inf"],
     ["--range-m", "nan"],
     ["--range-m", "inf"],
 ])
